@@ -76,18 +76,6 @@ class PrimitiveRegistry:
 
     def __init__(self) -> None:
         self._prims: Dict[str, List[Primitive]] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every :meth:`register`.
-
-        Compiled query plans capture primitive lookups from this registry;
-        the process-level plan cache (:mod:`repro.engine.compilecache`) keys
-        on this counter so registering a new overload invalidates plans that
-        might have scheduled the old resolution.
-        """
-        return self._version
 
     def register(
         self,
@@ -98,7 +86,6 @@ class PrimitiveRegistry:
     ) -> None:
         prim = Primitive(name, tuple(arg_sorts) if arg_sorts is not None else None, out_sort, fn)
         self._prims.setdefault(name, []).append(prim)
-        self._version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._prims

@@ -1,4 +1,4 @@
-"""Compiled query plans: the positional search hot path.
+"""Compiled query plans: slots, column roles, and the generic-join executor.
 
 The interpreted strategies in :mod:`repro.core.query` and
 :mod:`repro.core.genericjoin` pay per-match interpretation costs the paper's
@@ -14,26 +14,27 @@ that is resolved here once per (rule, strategy):
   order instead of a dict.  Scheduler-side deduplication of semi-naïve
   delta matches hashes those canonical tuples directly.
 * **Column roles.**  Each atom's columns are classified at plan time into
-  constants, first-occurrence bindings, and repeated-variable checks, so
-  the per-row inner loops below do zero ``isinstance`` work.
+  constants, first-occurrence bindings, and repeated-variable checks
+  (:class:`IndexedStep`), so per-row code does zero ``isinstance`` work.
 * **Primitive programs.**  Primitive atoms are scheduled once into a
-  straight-line program (:func:`compile_prims`) whose steps fetch
+  straight-line program (:func:`schedule_prims`) whose steps fetch
   arguments from slots; the interpreted retry loop of ``apply_prims`` is
   gone from the hot path.
+* **Constants as parameters.**  :func:`split_constants` turns a query into
+  its shape, constants replaced by :class:`QConst` placeholders, so
+  queries that differ only in their constants can share a plan.
 
-Two executors are provided, mirroring the two interpreted join strategies
-and — deliberately — enumerating matches in exactly the same order for the
-same database state, so compiled and interpreted runs produce identical
-results (same e-class allocation order, same extraction tie-breaks):
-
-* :class:`CompiledIndexedQuery` — index-nested-loop join (the default
-  engine strategy).  The greedy atom order still adapts to live table
-  sizes via :func:`repro.core.query.plan_order`; the per-atom step
-  structures are cached keyed by the resulting order.
-* :class:`CompiledGenericQuery` — worst-case optimal generic join over the
-  persistent trie indexes (or per-execution tries for the ad-hoc
-  baseline).  The per-depth sets of involved atoms are fully static, so
-  the descent does no per-node atom scanning.
+The default ``indexed`` strategy renders these plans as generated Python
+source, one function per (delta atom, join order)
+(:class:`repro.engine.codegen.IndexedSearch`).  The generic-join executor
+below, :class:`CompiledGenericQuery`, stays a plan interpreter: a
+worst-case optimal join over the persistent trie indexes (or per-execution
+tries for the ad-hoc baseline) whose per-depth sets of involved atoms are
+fully static, so the descent does no per-node atom scanning.  Both
+enumerate matches in exactly the order of their interpreted counterparts
+for the same database state, so compiled and interpreted runs produce
+identical results (same e-class allocation order, same extraction
+tie-breaks).
 
 Cache invalidation is the engine's job: compiled executors are cached per
 (rule, strategy) and keyed by the engine's compile epoch, which push/pop
@@ -42,12 +43,12 @@ and rule replacement bump (see ``EGraph.rule_exec``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .builtins import PrimitiveRegistry
 from .database import Table
 from .index import NONEMPTY, descend_constants, plan_query
-from .query import Query, QVar, TableAtom, plan_order
+from .query import PrimAtom, Query, QVar, TableAtom
 from .values import BOOL, UNIT, Value
 
 MatchTuple = Tuple[Value, ...]
@@ -57,13 +58,72 @@ MatchTuple = Tuple[Value, ...]
 _EMPTY: Dict = {}
 
 
+def _recorder(
+    out: List[MatchTuple], seen: Optional[Set[MatchTuple]]
+) -> Callable[[MatchTuple], None]:
+    """``out.append``, or with ``seen`` an append of unseen matches only."""
+    if seen is None:
+        return out.append
+    seen_add = seen.add
+    out_append = out.append
+
+    def record(match: MatchTuple) -> None:
+        if match not in seen:
+            seen_add(match)
+            out_append(match)
+
+    return record
+
+
+@dataclass(frozen=True)
+class QConst:
+    """Placeholder for the ``index``-th constant of a parametrized query."""
+
+    index: int
+
+    def __repr__(self) -> str:
+        return f"@{self.index}"
+
+
+#: Shared placeholders for the common indices (cached plans hold many).
+_HOLES = tuple(QConst(index) for index in range(64))
+
+
+def split_constants(query: Query) -> Tuple[Query, Tuple[Value, ...]]:
+    """Replace every constant of ``query`` by a :class:`QConst` placeholder.
+
+    Returns the query's *shape* and its constants in placeholder order
+    (table atoms' columns, then primitive arguments and outputs).  Queries
+    that differ only in their constants share one shape, so one compiled
+    plan serves them all, fed the constants per search.
+    """
+    consts: List[Value] = []
+
+    def hole(arg: object) -> object:
+        if isinstance(arg, QVar) or arg is None:
+            return arg
+        index = len(consts)
+        consts.append(arg)  # type: ignore[arg-type]
+        return _HOLES[index] if index < len(_HOLES) else QConst(index)
+
+    atoms = [
+        TableAtom(atom.func, tuple(map(hole, atom.args)), hole(atom.out))  # type: ignore[arg-type]
+        for atom in query.atoms
+    ]
+    prims = [
+        PrimAtom(prim.op, tuple(map(hole, prim.args)), hole(prim.out))  # type: ignore[arg-type]
+        for prim in query.prims
+    ]
+    return Query(atoms=atoms, prims=prims), tuple(consts)
+
+
 def assign_slots(query: Query) -> Tuple[Dict[str, int], Tuple[str, ...]]:
     """Map every query variable to an integer slot (first-occurrence order).
 
     Table-atom variables come first (in column order of appearance), then
     variables that only primitive atoms mention.  The mapping is shared by
     the query executors and the rule's compiled action program, so a match
-    tuple indexes directly into action opcodes.
+    tuple unpacks directly into the program's slot locals.
     """
     slot_of: Dict[str, int] = {}
     names: List[str] = []
@@ -84,28 +144,24 @@ def assign_slots(query: Query) -> Tuple[Dict[str, int], Tuple[str, ...]]:
 # Primitive programs
 # ---------------------------------------------------------------------------
 
-_OUT_GUARD = 0
-_OUT_BIND = 1
-_OUT_CHECK_SLOT = 2
-_OUT_CHECK_CONST = 3
+OUT_GUARD = 0
+OUT_BIND = 1
+OUT_CHECK_SLOT = 2
+OUT_CHECK_CONST = 3
 
 #: One scheduled primitive step: (op name, arg fetch specs, out kind, payload).
 #: An arg spec is ``(True, slot)`` or ``(False, constant Value)``.
 PrimStep = Tuple[str, Tuple[Tuple[bool, object], ...], int, object]
 
 
-def compile_prims(
-    prims: Sequence,
-    slot_of: Dict[str, int],
-    bound_slots: Set[int],
-    registry: PrimitiveRegistry,
-) -> Optional[Callable[[List[Optional[Value]]], bool]]:
+def schedule_prims(
+    prims: Sequence, slot_of: Dict[str, int], bound_slots: Set[int]
+) -> Optional[Tuple[PrimStep, ...]]:
     """Schedule primitive atoms into a straight-line slot program.
 
     Replicates ``apply_prims``'s fixpoint: repeatedly schedule every
     primitive whose inputs are bound; an output may bind a fresh slot.
-    Returns a runner ``regs -> bool`` (True iff every guard passed), or
-    ``None`` when some primitive's inputs can never be bound — the
+    Returns ``None`` when some primitive's inputs can never be bound — the
     interpreted engine fails every match of such an unsafe query, so
     callers must treat ``None`` as "no matches".
     """
@@ -133,45 +189,59 @@ def compile_prims(
                 continue
             out = prim.out
             if out is None:
-                out_kind, payload = _OUT_GUARD, None
+                out_kind, payload = OUT_GUARD, None
             elif isinstance(out, QVar):
                 slot = slot_of[out.name]
                 if slot in bound:
-                    out_kind, payload = _OUT_CHECK_SLOT, slot
+                    out_kind, payload = OUT_CHECK_SLOT, slot
                 else:
-                    out_kind, payload = _OUT_BIND, slot
+                    out_kind, payload = OUT_BIND, slot
                     bound.add(slot)
             else:
-                out_kind, payload = _OUT_CHECK_CONST, out
+                out_kind, payload = OUT_CHECK_CONST, out
             steps.append((prim.op, tuple(arg_specs), out_kind, payload))
             progress = True
         pending = still_pending
     if pending:
         return None  # unsafe query: inputs never bound, every match fails
+    return tuple(steps)
 
+
+#: A primitive runner: ``(regs, registry.call) -> bool``.
+PrimRunner = Callable[[List[Optional[Value]], Callable[..., Optional[Value]]], bool]
+
+
+def compile_prims(
+    prims: Sequence, slot_of: Dict[str, int], bound_slots: Set[int]
+) -> Optional[PrimRunner]:
+    """:func:`schedule_prims` as a runner over a register list, given the
+    registry's ``call`` (True iff every guard passed); ``None`` for an
+    unsafe query."""
+    steps = schedule_prims(prims, slot_of, bound_slots)
+    if steps is None:
+        return None
     if not steps:
-        return lambda regs: True
+        return lambda regs, call: True
 
-    frozen = tuple(steps)
-    registry_call = registry.call
+    frozen = steps
 
-    def run(regs: List[Optional[Value]]) -> bool:
+    def run(regs: List[Optional[Value]], call: Callable[..., Optional[Value]]) -> bool:
         for op, arg_specs, out_kind, payload in frozen:
             args = tuple(
                 regs[spec] if is_slot else spec for is_slot, spec in arg_specs
             )
-            result = registry_call(op, args)
+            result = call(op, args)
             if result is None:
                 return False
-            if out_kind == _OUT_GUARD:
+            if out_kind == OUT_GUARD:
                 sort = result[0]  # Value is a (sort, data) tuple; C indexing
                 if sort == BOOL and not result[1]:
                     return False
                 if sort not in (BOOL, UNIT):
                     return False
-            elif out_kind == _OUT_BIND:
+            elif out_kind == OUT_BIND:
                 regs[payload] = result
-            elif out_kind == _OUT_CHECK_SLOT:
+            elif out_kind == OUT_CHECK_SLOT:
                 if regs[payload] != result:
                     return False
             else:
@@ -182,7 +252,7 @@ def compile_prims(
     return run
 
 
-def _table_bound_slots(query: Query, slot_of: Dict[str, int]) -> Set[int]:
+def table_bound_slots(query: Query, slot_of: Dict[str, int]) -> Set[int]:
     """Slots bound by table atoms (order-independent: every atom binds all
     its variables regardless of join order)."""
     bound: Set[int] = set()
@@ -194,11 +264,11 @@ def _table_bound_slots(query: Query, slot_of: Dict[str, int]) -> Set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Indexed (index-nested-loop) executor
+# Indexed (index-nested-loop) column roles
 # ---------------------------------------------------------------------------
 
 
-class _IndexedStep:
+class IndexedStep:
     """One atom of an indexed plan, with column roles resolved.
 
     ``proj_cols``/``proj_get`` describe the hash-index lookup (constants and
@@ -206,7 +276,7 @@ class _IndexedStep:
     first-occurrence variables into slots; ``key_dups``/``out_dup`` check
     repeated variables; ``key_consts``/``out_const`` check constants per
     row (used by the delta step, which scans the write log instead of an
-    index).
+    index).  ``bound`` is updated with the slots this atom binds.
     """
 
     __slots__ = (
@@ -236,8 +306,8 @@ class _IndexedStep:
         self.is_delta = is_delta
         proj_cols: List[int] = []
         proj_get: List[Tuple[bool, object]] = []
-        key_consts: List[Tuple[int, Value]] = []
-        self.out_const: Optional[Value] = None
+        key_consts: List[Tuple[int, object]] = []
+        self.out_const: Optional[object] = None
         key_binds: List[Tuple[int, int]] = []
         self.out_bind: Optional[int] = None
         key_dups: List[Tuple[int, int]] = []
@@ -280,158 +350,6 @@ class _IndexedStep:
         self.key_consts = tuple(key_consts)
         self.key_binds = tuple(key_binds)
         self.key_dups = tuple(key_dups)
-
-
-class CompiledIndexedQuery:
-    """Positional index-nested-loop executor for one rule's query.
-
-    Per-atom step structures are cached keyed by ``(delta_atom, order)``:
-    the greedy atom order still consults live table sizes (exactly like the
-    interpreted strategy), but once an order has been seen its column-role
-    resolution is never repeated.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        slot_of: Dict[str, int],
-        n_slots: int,
-        registry: PrimitiveRegistry,
-    ) -> None:
-        self.query = query
-        self.slot_of = slot_of
-        self.n_slots = n_slots
-        self.prim_runner = compile_prims(
-            query.prims, slot_of, _table_bound_slots(query, slot_of), registry
-        )
-        #: No primitive atoms at all: the leaf emits without a runner call.
-        self.no_prims = not query.prims
-        self._steps_cache: Dict[
-            Tuple[Optional[int], Tuple[int, ...]], Tuple[_IndexedStep, ...]
-        ] = {}
-
-    def _steps_for(
-        self,
-        delta_atom: Optional[int],
-        order: Tuple[int, ...],
-        tables: Dict[str, Table],
-    ) -> Tuple[_IndexedStep, ...]:
-        cached = self._steps_cache.get((delta_atom, order))
-        if cached is not None:
-            return cached
-        atoms = self.query.atoms
-        bound: Set[int] = set()
-        steps = tuple(
-            _IndexedStep(
-                atoms[index],
-                tables[atoms[index].func].decl.arity,
-                bound,
-                self.slot_of,
-                delta_atom is not None and index == delta_atom,
-            )
-            for index in order
-        )
-        self._steps_cache[(delta_atom, order)] = steps
-        return steps
-
-    def search(
-        self,
-        tables: Dict[str, Table],
-        delta_atom: Optional[int],
-        since: int,
-        emit: Callable[[MatchTuple], None],
-    ) -> None:
-        """Run the query, calling ``emit`` once per match tuple."""
-        query = self.query
-        atoms = query.atoms
-        prim_runner = self.prim_runner
-        if prim_runner is None:
-            return  # unsafe primitive schedule: every match fails
-        if not atoms:
-            regs: List[Optional[Value]] = [None] * self.n_slots
-            if prim_runner(regs):
-                emit(tuple(regs))  # type: ignore[arg-type]
-            return
-        for atom in atoms:
-            if atom.func not in tables:
-                return
-        order = tuple(plan_order(atoms, tables, delta_atom))
-        steps = self._steps_for(delta_atom, order, tables)
-        regs = [None] * self.n_slots
-        self._walk(0, steps, tables, since, regs, emit)
-
-    def _walk(
-        self,
-        position: int,
-        steps: Tuple[_IndexedStep, ...],
-        tables: Dict[str, Table],
-        since: int,
-        regs: List[Optional[Value]],
-        emit: Callable[[MatchTuple], None],
-    ) -> None:
-        step = steps[position]
-        table = tables[step.func]
-        if step.is_delta:
-            candidates = table.new_keys(since)
-        elif step.proj_cols:
-            index = table.index(step.proj_cols)
-            proj = tuple(
-                [regs[spec] if is_slot else spec for is_slot, spec in step.proj_get]
-            )
-            entry = index.get(proj)
-            if not entry:
-                return
-            # Snapshot the entry: the index is live (incrementally
-            # maintained) and deeper steps may trigger table reads; the
-            # interpreted strategy snapshots for the same reason.
-            candidates = list(entry)
-        else:
-            candidates = list(table.data.keys())
-
-        data = table.data
-        is_delta = step.is_delta
-        key_consts = step.key_consts
-        out_const = step.out_const
-        key_binds = step.key_binds
-        out_bind = step.out_bind
-        key_dups = step.key_dups
-        out_dup = step.out_dup
-        next_position = position + 1
-        # The deepest step emits inline instead of recursing once per row.
-        at_leaf = next_position == len(steps)
-        prim_runner = None if self.no_prims else self.prim_runner
-        for key in candidates:
-            row = data.get(key)
-            if row is None:
-                continue
-            if is_delta and row.timestamp < since:
-                continue
-            if out_const is not None and row.value != out_const:
-                continue
-            ok = True
-            for col, expected in key_consts:
-                if key[col] != expected:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for col, slot in key_binds:
-                regs[slot] = key[col]
-            if out_bind is not None:
-                regs[out_bind] = row.value
-            for col, slot in key_dups:
-                if key[col] != regs[slot]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if out_dup is not None and row.value != regs[out_dup]:
-                continue
-            if at_leaf:
-                if prim_runner is None or prim_runner(regs):
-                    emit(tuple(regs))  # type: ignore[arg-type]
-            else:
-                self._walk(next_position, steps, tables, since, regs, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +411,6 @@ class CompiledGenericQuery:
         query: Query,
         slot_of: Dict[str, int],
         n_slots: int,
-        registry: PrimitiveRegistry,
         *,
         use_indexes: bool = True,
     ) -> None:
@@ -502,7 +419,7 @@ class CompiledGenericQuery:
         self.n_slots = n_slots
         self.use_indexes = use_indexes
         self.prim_runner = compile_prims(
-            query.prims, slot_of, _table_bound_slots(query, slot_of), registry
+            query.prims, slot_of, table_bound_slots(query, slot_of)
         )
         self.no_prims = not query.prims
         plan = plan_query(query)
@@ -584,22 +501,52 @@ class CompiledGenericQuery:
 
     # -- execution -----------------------------------------------------------
 
-    def search(
+    def search_into(
+        self,
+        tables: Dict[str, Table],
+        call: Callable[..., Optional[Value]],
+        consts: Tuple[Value, ...],
+        delta_atom: Optional[int],
+        since: int,
+        out: List[MatchTuple],
+        seen: Optional[Set[MatchTuple]] = None,
+    ) -> None:
+        """Append every match to ``out``; with ``seen``, only matches not
+        already in it (the semi-naïve cross-atom dedup), recording them.
+
+        ``call`` applies primitives (the engine registry's ``call``).
+        Generic plans are built per concrete query, so ``consts`` — the
+        query's constants, for plans parametrized over them — is unused.
+        """
+        runner = self.prim_runner
+        if runner is None:
+            return  # unsafe primitive schedule: every match fails
+        record = _recorder(out, seen)
+        if self.no_prims:
+
+            def leaf(regs: List[Optional[Value]]) -> None:
+                record(tuple(regs))  # type: ignore[arg-type]
+
+        else:
+
+            def leaf(regs: List[Optional[Value]]) -> None:
+                if runner(regs, call):  # type: ignore[misc]
+                    record(tuple(regs))  # type: ignore[arg-type]
+
+        self._search(tables, delta_atom, since, leaf)
+
+    def _search(
         self,
         tables: Dict[str, Table],
         delta_atom: Optional[int],
         since: int,
-        emit: Callable[[MatchTuple], None],
+        leaf: Callable[[List[Optional[Value]]], None],
     ) -> None:
-        """Run the query, calling ``emit`` once per match tuple."""
-        prim_runner = self.prim_runner
-        if prim_runner is None:
-            return
+        """Run the query, calling ``leaf`` with the registers of every
+        candidate (primitives unchecked) in enumeration order."""
         atoms = self.query.atoms
         if not atoms:
-            regs: List[Optional[Value]] = [None] * self.n_slots
-            if prim_runner(regs):
-                emit(tuple(regs))  # type: ignore[arg-type]
+            leaf([None] * self.n_slots)
             return
         for atom in atoms:
             if atom.func not in tables:
@@ -621,23 +568,22 @@ class CompiledGenericQuery:
                 return
             nodes[index] = node
 
-        regs = [None] * self.n_slots
-        self._descend(0, nodes, regs, emit)
+        regs: List[Optional[Value]] = [None] * self.n_slots
+        self._descend(0, nodes, regs, leaf)
 
     def _descend(
         self,
         depth: int,
         nodes: List[Dict],
         regs: List[Optional[Value]],
-        emit: Callable[[MatchTuple], None],
+        leaf: Callable[[List[Optional[Value]]], None],
     ) -> None:
         if depth == len(self.depth_slots):
-            if self.no_prims or self.prim_runner(regs):  # type: ignore[misc]
-                emit(tuple(regs))  # type: ignore[arg-type]
+            leaf(regs)
             return
         involved = self.involved[depth]
         if not involved:
-            self._descend(depth + 1, nodes, regs, emit)
+            self._descend(depth + 1, nodes, regs, leaf)
             return
         slot = self.depth_slots[depth]
         next_depth = depth + 1
@@ -649,7 +595,6 @@ class CompiledGenericQuery:
                 smallest, best = index, size
         saved = [nodes[index] for index in involved]
         at_leaf = next_depth == len(self.depth_slots)
-        prim_runner = None if self.no_prims else self.prim_runner
         # Snapshot the iterated level: persistent tries are live structures
         # (same reason the interpreted strategies snapshot candidates).
         for value in list(nodes[smallest]):
@@ -664,9 +609,8 @@ class CompiledGenericQuery:
                 continue
             regs[slot] = value
             if at_leaf:
-                if prim_runner is None or prim_runner(regs):
-                    emit(tuple(regs))  # type: ignore[arg-type]
+                leaf(regs)
             else:
-                self._descend(next_depth, nodes, regs, emit)
+                self._descend(next_depth, nodes, regs, leaf)
         for position, index in enumerate(involved):
             nodes[index] = saved[position]

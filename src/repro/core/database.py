@@ -113,13 +113,16 @@ class Table:
 
     def put(self, key: Key, value: Value, timestamp: int) -> None:
         """Insert or overwrite a row, updating every maintained index."""
-        old = self.data.get(key)
-        self.data[key] = Row(value, timestamp)
-        if self._log_ts and timestamp < self._log_ts[-1]:
+        data = self.data
+        old = data.get(key)
+        data[key] = Row(value, timestamp)
+        log_ts = self._log_ts
+        if log_ts and timestamp < log_ts[-1]:
             self._log_sorted = False
-        self._log_ts.append(timestamp)
+        log_ts.append(timestamp)
         self._log_keys.append(key)
-        if len(self._log_ts) > 64 and len(self._log_ts) > 4 * len(self.data):
+        logged = len(log_ts)
+        if logged > 64 and logged > 4 * len(data):
             self._compact_log()
 
         if self._batch_depth:
@@ -206,17 +209,16 @@ class Table:
         if not self._log_sorted:
             return [key for key, row in self.data.items() if row.timestamp >= since]
         start = bisect_left(self._log_ts, since)
+        data = self.data
+        # ``dict.fromkeys`` drops repeated writes of a key, keeping its
+        # first position.  Skip keys removed since, or whose live row
+        # predates ``since`` (possible only after an out-of-order overwrite).
         out: List[Key] = []
-        seen = set()
-        for key in self._log_keys[start:]:
-            if key in seen:
-                continue
-            seen.add(key)
-            row = self.data.get(key)
-            # Skip keys removed since, or whose live row predates ``since``
-            # (possible only after an out-of-order overwrite).
+        append = out.append
+        for key in dict.fromkeys(self._log_keys[start:]):
+            row = data.get(key)
             if row is not None and row.timestamp >= since:
-                out.append(key)
+                append(key)
         return out
 
     def has_new(self, since: int) -> bool:

@@ -22,11 +22,11 @@ Two join strategies are provided:
 Both support *delta* searches for semi-naïve evaluation: one designated atom
 is restricted to rows whose timestamp is at least ``since``.
 
-These interpreted strategies serve one-off public queries (``query``,
-``check``) and act as the reference implementation; the scheduler runs
-compiled rules through the positional executors in
-:mod:`repro.core.compile`, which enumerate matches in exactly the same
-order.
+These interpreted strategies serve ``EGraph.search`` and act as the
+reference implementation: rules, ``query`` and ``check`` run through the
+compiled plans (:mod:`repro.core.compile`, and the generated search of
+:mod:`repro.engine.codegen` for the indexed strategy), which enumerate
+matches in exactly the same order.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.builtins import PrimitiveRegistry, default_registry
+from ..core.compile import MatchTuple
 from ..core.database import Table
 from ..core.genericjoin import search_generic, search_generic_adhoc
 from ..core.index import plan_query
@@ -37,6 +38,7 @@ from ..core.unionfind import UnionFind
 from ..core.values import BUILTIN_SORTS, UNIT, UNIT_VALUE, EqSort, Sort, Value, from_python
 from .actions import Action, Delete, Expr, Let, Set, Union
 from .budget import Budget
+from .compilecache import CACHE
 from .errors import CheckError, EGraphError, ExtractError, MergeError
 from .program import RuleExec
 from .rebuild import rebuild as _rebuild
@@ -166,7 +168,7 @@ class EGraph:
     def compile_epoch(self) -> int:
         """Monotone counter invalidating compiled plans/programs.
 
-        Push/pop and rule replacement bump it: compiled closures capture
+        Push/pop and rule replacement bump it: generated programs bind
         table and declaration objects those operations may swap out.
         """
         return self._compile_epoch
@@ -696,9 +698,11 @@ class EGraph:
         timestamp, and the update counter.  The snapshot is *out of band* —
         it does not touch the :meth:`push`/:meth:`pop` stack, so holders
         (the session layer's transactional batches) can roll back without
-        disturbing client-visible push/pop pairing.  Compiled executors are
-        invalidated on capture, mirroring :meth:`push`: plans minted before
-        the capture must not survive a later :meth:`restore_state`.
+        disturbing client-visible push/pop pairing.  Capture leaves compiled
+        executors alone: the live tables they bind stay the engine's tables
+        (the capture holds copies), and :meth:`restore_state` invalidates
+        them.  So a transactional batch that commits keeps every executor,
+        and only a rollback recompiles.
         """
         state = {
             "uf": self.uf.snapshot(),
@@ -714,7 +718,6 @@ class EGraph:
                 dict(self._proof_log) if self._proof_log is not None else None
             ),
         }
-        self.invalidate_compiled()
         return state
 
     def restore_state(self, snap: dict) -> None:
@@ -763,9 +766,11 @@ class EGraph:
         """Save the full engine state on a stack (the ``push`` command, §3.1).
 
         Returns the new stack depth.  See :meth:`snapshot_state` for what
-        is captured.
+        is captured.  Compiled executors are invalidated, so the pushed
+        scope compiles afresh.
         """
         self._snapshots.append(self.snapshot_state())
+        self.invalidate_compiled()
         return len(self._snapshots)
 
     def pop(self, count: int = 1) -> int:
@@ -846,22 +851,34 @@ class EGraph:
             for arg in term.args:
                 self._validate_term_symbols(arg, context)
 
-    def query(self, *facts: Fact) -> List[Substitution]:
-        """Match term-level facts against the database; return substitutions."""
+    def _matches(self, facts: Sequence[Fact]) -> Tuple[Tuple[str, ...], List[MatchTuple]]:
+        """Slot names and match tuples of ``facts`` over the canonical database.
+
+        Runs the same cached plan rule search uses (``CACHE.plan`` under
+        the current strategy), so one-off queries share compiled searches.
+        """
         self._ensure_canonical()
         compiled = compile_facts(list(facts), self.is_table)
         self._validate_symbols(compiled, "query")
-        return [dict(match) for match in self.search(compiled)]
+        plan, consts = CACHE.plan(compiled, self._strategy)
+        out: List[MatchTuple] = []
+        plan.query_exec.search_into(self.tables, self.registry.call, consts, None, 0, out)
+        return plan.slot_names, out
+
+    def query(self, *facts: Fact) -> List[Substitution]:
+        """Match term-level facts against the database; return substitutions."""
+        names, matches = self._matches(facts)
+        return [dict(zip(names, match)) for match in matches]
 
     def check(self, *facts: Fact) -> int:
         """Require at least one match for ``facts`` (the ``check`` command).
 
         Returns the number of matches; raises :class:`CheckError` on zero.
         """
-        matches = self.query(*facts)
-        if not matches:
+        count = len(self._matches(facts)[1])
+        if not count:
             raise CheckError(f"check failed: no matches for {facts!r}")
-        return len(matches)
+        return count
 
     def check_equal(self, lhs: TermLike, rhs: TermLike) -> bool:
         """Require that two ground terms denote the same e-class."""

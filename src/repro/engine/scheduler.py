@@ -22,11 +22,12 @@ an iteration changes nothing: no inserts, no output updates, no unions, no
 deletes.
 
 Rules run through their **compiled executors** (``EGraph.rule_exec`` →
-``repro.engine.program`` / ``repro.core.compile``): searches produce
+``repro.engine.program`` / ``repro.engine.codegen``): searches produce
 positional match tuples over integer slots, delta dedup hashes those
-tuples directly, and the apply phase fires each rule's precompiled action
-program — with every table's index maintenance batched until the phase
-ends, since nothing reads the indexes while actions run.
+tuples directly, and the apply phase hands each rule's whole match list to
+its generated action function — with every table's index maintenance
+batched until the phase ends, since nothing reads the indexes while
+actions run.
 
 When the engine's strategy consumes persistent trie indexes, the scheduler
 registers each compiled rule's column orderings with the tables up front
@@ -128,8 +129,8 @@ class Scheduler:
                 egraph.register_rule_indexes(rule)
 
         # Phase 1: search (all rules see the same snapshot).  Each rule runs
-        # through its compiled executor: positional plans, slot registers,
-        # and a precompiled action program (``repro.engine.program``).
+        # through its compiled executor: positional plans, generated search
+        # and action code (``repro.engine.program``).
         searched: List[Tuple[CompiledRule, RuleExec, List[MatchTuple]]] = []
         for rule in rules:
             start = time.perf_counter()
@@ -150,15 +151,13 @@ class Scheduler:
             table.begin_batch()
         try:
             for rule, exec_, matches in searched:
-                execute = exec_.program.execute
-                # Compiled union ops carry the rule's justification baked in
+                # Generated unions carry the rule's justification
                 # (``RuleExec.reason``); the ambient reason additionally
                 # covers unions reached indirectly — e.g. merge-fn unions
                 # triggered by this rule's ``set`` actions.
                 prev_reason = egraph.set_union_reason(exec_.reason)
                 try:
-                    for match in matches:
-                        execute(match)
+                    exec_.fire(matches)
                 finally:
                     egraph.set_union_reason(prev_reason)
                 rule.last_run = egraph.timestamp

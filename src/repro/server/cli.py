@@ -2,11 +2,14 @@
 
 Boots a :class:`~repro.session.SessionManager`, optionally preloads named
 bases from ``.egg`` programs or ``repro.snapshot/v1`` files, and serves the
-HTTP API until SIGINT/SIGTERM.  The first line on stdout is always::
+HTTP API until SIGINT/SIGTERM.  Once the socket is bound it prints::
 
     repro-serve listening on http://HOST:PORT
 
-so scripts can bind ``--port 0`` and scrape the ephemeral port.
+so scripts can bind ``--port 0`` and scrape the ephemeral port.  Only the
+state-dir summary and one line per ``--base`` come before it.  The
+SIGINT/SIGTERM handlers are installed before that line is printed, so a
+signal sent on seeing it always takes the graceful path.
 
 With ``--state-dir DIR`` sessions survive the process: evicted/expired
 sessions are checkpointed there and transparently restored on next touch,
@@ -127,6 +130,21 @@ def _preload_bases(manager: SessionManager, specs: List[str]) -> None:
 
 
 async def _run(app: App, host: str, port: int, args: argparse.Namespace) -> None:
+    loop = asyncio.get_event_loop()
+    stop = loop.create_future()
+
+    def request_stop() -> None:
+        if not stop.done():
+            stop.set_result(None)
+
+    # Handlers go in before the listening line: a client that signals as
+    # soon as it reads the line must get a graceful stop, not a default
+    # SIGTERM death.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, request_stop)
+        except NotImplementedError:  # pragma: no cover - non-unix loops
+            pass
     server = await serve(
         app.handle,
         host,
@@ -136,19 +154,6 @@ async def _run(app: App, host: str, port: int, args: argparse.Namespace) -> None
     )
     bound = server.sockets[0].getsockname()
     print(f"repro-serve listening on http://{bound[0]}:{bound[1]}", flush=True)
-
-    stop = asyncio.get_event_loop().create_future()
-
-    def request_stop() -> None:
-        if not stop.done():
-            stop.set_result(None)
-
-    loop = asyncio.get_event_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, request_stop)
-        except NotImplementedError:  # pragma: no cover - non-unix loops
-            pass
     try:
         await stop
     finally:

@@ -29,6 +29,16 @@ Two rules keep the two lock kinds honest:
   (:meth:`Session._acquire_live`) and chase the live incarnation through
   ``manager.get`` — so a session passivated between lookup and lock
   acquisition transparently restores instead of swallowing the batch.
+* **A delete wins over an in-flight save.**  ``DELETE`` marks the session
+  ``deleted`` under the manager lock and unlinks its checkpoint after
+  releasing it, without waiting for any save in progress; every save
+  re-checks the flag under the manager lock once its file is written and
+  removes that file again when the session was deleted meanwhile.  No
+  checkpoint outlives its session's delete.
+
+The ids of passivated sessions live in memory (discovered from the state
+dir once, at start-up, then kept current on retire, restore and delete),
+so listing sessions or stats never reads the directory under the lock.
 """
 
 from __future__ import annotations
@@ -112,11 +122,15 @@ class Session:
         self.batches = 0
         #: Set by :meth:`SessionManager._admit`; ``None`` for unmanaged use.
         self.manager: Optional["SessionManager"] = None
-        #: Written only under :attr:`lock` by :meth:`SessionManager._retire`.
-        #: Once True this object is an orphan: its durable state lives in
-        #: the checkpoint store and the live incarnation (if any) is a
-        #: different object under the same id.
+        #: Written only by :meth:`SessionManager._retire`, holding both
+        #: :attr:`lock` and the manager lock.  Once True this object is an
+        #: orphan: its durable state lives in the checkpoint store and the
+        #: live incarnation (if any) is a different object under the same id.
         self.retired = False
+        #: Set under the manager lock by
+        #: :meth:`SessionManager.remove_session`.  A save that completes
+        #: after it removes the file it wrote.
+        self.deleted = False
 
     def touch(self) -> None:
         self.last_used = time.monotonic()
@@ -297,13 +311,16 @@ class SessionManager:
         self.restores = 0
         self.checkpoint_failures = 0
         self.restore_failures = 0
+        #: Ids with a checkpoint on disk and no live incarnation.  Read from
+        #: the state dir once, here; afterwards retire, restore and delete
+        #: keep it current under ``_lock``.
+        self._passivated: set = set(self.store.ids()) if self.store is not None else set()
         # Resume id allocation past any checkpointed ids so a restarted
         # server never mints an id that collides with a passivated session.
         next_id = 1
-        if self.store is not None:
-            for sid in self.store.ids():
-                if sid.startswith("s") and sid[1:].isdigit():
-                    next_id = max(next_id, int(sid[1:]) + 1)
+        for sid in self._passivated:
+            if sid.startswith("s") and sid[1:].isdigit():
+                next_id = max(next_id, int(sid[1:]) + 1)
         self._ids = itertools.count(next_id)
 
     # -- bases ----------------------------------------------------------------
@@ -446,12 +463,17 @@ class SessionManager:
         eviction must never silently destroy state it could not save.
         ``retired`` is published under the victim's mutex *after* a
         successful save, so any batch that subsequently wins the mutex sees
-        the flag and chases the live incarnation (:meth:`Session._acquire_live`).
-        The final table drop checks identity, not just the id — a
-        concurrent restore may already have installed a fresh incarnation.
+        the flag and chases the live incarnation (:meth:`Session._acquire_live`);
+        it is set under the manager lock in the same step that moves the id
+        from the live table to the passivated set.
+        The table drop checks identity, not just the id — a concurrent
+        restore may already have installed a fresh incarnation.  A victim
+        deleted while its save ran is not passivated: the file just written
+        is removed again, after the locks are released.
         """
         if not victim.lock.acquire(blocking=False):
             return False
+        deleted = False
         try:
             if self.store is not None:
                 try:
@@ -462,17 +484,37 @@ class SessionManager:
                     raise CheckpointError(
                         f"cannot passivate session {victim.id!r}: {error}"
                     ) from error
-            victim.retired = True
+            with self._lock:
+                if self._sessions.get(victim.id) is victim:
+                    del self._sessions[victim.id]
+                self.evictions += 1
+                deleted = victim.deleted
+                if self.store is not None and not deleted:
+                    self._passivated.add(victim.id)
+                    self.checkpoints += 1
+                    self.passivations += 1
+                # Published together with the table drop and the passivated
+                # id, so a concurrent ``get`` sees either the live victim or
+                # a restorable checkpoint — never a retired session that
+                # ``_restore`` does not know about yet.
+                victim.retired = True
         finally:
             victim.lock.release()
-        with self._lock:
-            if self._sessions.get(victim.id) is victim:
-                del self._sessions[victim.id]
-            self.evictions += 1
-            if self.store is not None:
-                self.checkpoints += 1
-                self.passivations += 1
+        if deleted and self.store is not None:
+            self.store.discard(victim.id)
         return True
+
+    def _saved(self, session: Session) -> bool:
+        """After a save of ``session`` (its mutex held): False when the
+        session was deleted while the save ran, in which case the file
+        just written is removed again."""
+        with self._lock:
+            deleted = session.deleted
+            if not deleted:
+                self.checkpoints += 1
+        if deleted and self.store is not None:
+            self.store.discard(session.id)
+        return not deleted
 
     def _sweep_idle(self) -> None:
         if self.idle_ttl_s is None:
@@ -538,7 +580,7 @@ class SessionManager:
                 self._sessions.move_to_end(session_id)
                 session.last_used = time.monotonic()
                 return session
-            if not self.store.contains(session_id):
+            if session_id not in self._passivated:
                 return None
             self._restoring.add(session_id)
         try:
@@ -555,7 +597,17 @@ class SessionManager:
             batches = meta.get("batches")
             if isinstance(batches, int):
                 session.batches = batches
-            self._admit(session)
+            with self._lock:
+                # Live from here on.  A delete waits for this restore to
+                # finish (see remove_session), so the id cannot vanish
+                # between this discard and the admission below.
+                self._passivated.discard(session_id)
+            try:
+                self._admit(session)
+            except BaseException:
+                with self._lock:
+                    self._passivated.add(session_id)  # still on disk only
+                raise
             with self._lock:
                 self.restores += 1
             return session
@@ -581,8 +633,10 @@ class SessionManager:
                 raise CheckpointError(
                     f"cannot checkpoint session {session_id!r}: {error}"
                 ) from error
-            with self._lock:
-                self.checkpoints += 1
+            if not self._saved(session):
+                raise UnknownSessionError(
+                    f"session {session_id!r} was deleted during its checkpoint"
+                )
         finally:
             session.lock.release()
         return {
@@ -610,25 +664,34 @@ class SessionManager:
                     with self._lock:
                         self.checkpoint_failures += 1
                     continue
-                with self._lock:
-                    self.checkpoints += 1
-                written += 1
+                if self._saved(session):
+                    written += 1
         return written
 
     def remove_session(self, session_id: str) -> None:
-        """Delete a session — live, passivated, or both (durably)."""
-        with self._lock:
+        """Delete a session — live, passivated, or both (durably).
+
+        Never waits for a checkpoint save in progress: the session is
+        marked ``deleted`` and its file unlinked outside the manager lock;
+        a save finishing later sees the mark and removes its own file (see
+        :meth:`_retire`).  Only an in-flight *restore* of the same id is
+        waited for, so a delete cannot race a session back to life.
+        """
+        with self._restored:
+            while session_id in self._restoring:
+                self._restored.wait()
             live = self._sessions.pop(session_id, None)
-            stored = (
-                self.store.discard(session_id) if self.store is not None else False
-            )
+            if live is not None:
+                live.deleted = True
+            stored = session_id in self._passivated
+            self._passivated.discard(session_id)
             if live is None and not stored:
                 raise UnknownSessionError(f"no session {session_id!r}")
+        if self.store is not None:
+            self.store.discard(session_id)
 
     def _passivated_ids(self) -> List[str]:
-        if self.store is None:
-            return []
-        return [sid for sid in self.store.ids() if sid not in self._sessions]
+        return sorted(self._passivated)
 
     def sessions(self) -> List[Dict[str, Any]]:
         with self._lock:

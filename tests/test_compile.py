@@ -19,6 +19,7 @@ from repro.core.terms import App, L, V
 from repro.core.values import I64, UNIT, Value, i64
 from repro.engine import EGraph, EGraphError, Rule
 from repro.engine.actions import Delete, Expr, Let, Panic, Set, Union, run_actions
+from repro.core.query import PrimAtom, Query, QVar, TableAtom, search_indexed
 from repro.engine.rule import compile_facts
 
 STRATEGIES = ["indexed", "generic", "generic-adhoc"]
@@ -70,14 +71,15 @@ def test_assign_slots_table_vars_first_then_prim_vars():
 def test_compiled_search_matches_interpreted(strategy):
     eg = tc_engine(strategy)
     eg.run(10)
-    # The public query path stays on the interpreted strategies; the
-    # scheduler's searches ran compiled.  Both must see the same closure.
+    # The public query path runs the same compiled plans as the scheduler;
+    # the interpreted strategies (``eg.search``) stay as the reference.
+    # Both must see the same closure, match for match and in order.
     matches = eg.query(App("path", V("a"), V("b")))
     assert len(matches) == len(path_rows(eg))
     rule = eg.rules["step"]
     exec_ = eg.rule_exec(rule)
-    compiled = {exec_.substitution(m)["x"] for m in exec_.search_full(eg.tables)}
-    interpreted = {m["x"] for m in eg.search(rule.query)}
+    compiled = [exec_.substitution(m) for m in exec_.search_full(eg.tables)]
+    interpreted = list(eg.search(rule.query))
     assert compiled == interpreted
 
 
@@ -173,7 +175,7 @@ def test_action_program_agrees_with_run_actions():
 
 def test_action_program_panic_and_fire_time_errors():
     from repro.engine import EGraphPanic
-    from repro.engine.program import compile_actions, compile_term
+    from repro.engine.program import compile_actions
 
     eg = EGraph()
     eg.relation("r", (I64,))
@@ -181,17 +183,485 @@ def test_action_program_panic_and_fire_time_errors():
     with pytest.raises(EGraphPanic, match="no"):
         eg.run(1)
 
-    # An unbound variable compiles to the interpreter's fire-time error.
-    fn = compile_term(eg, V("ghost"), {})
+    # An unbound variable compiles to the interpreter's fire-time error:
+    # compiling succeeds, firing raises.
+    ghost = compile_actions(eg, [Expr(App("r", V("ghost")))], {}, 0, Query())
     with pytest.raises(EGraphError, match="unbound variable 'ghost'"):
-        fn([])
+        ghost(((),))
+    assert len(eg.tables["r"]) == 0
     # Let-shadowing reuses the query variable's register, like the dict
     # overwrite in run_actions.
-    program = compile_actions(
-        eg, [Let("x", L(7)), Expr(App("r", V("x")))], {"x": 0}, 1
+    fire = compile_actions(
+        eg, [Let("x", L(7)), Expr(App("r", V("x")))], {"x": 0}, 1, Query()
     )
-    program.execute((i64(3),))
+    fire(((i64(3),),))
     assert (i64(7),) in eg.tables["r"].data
+
+
+# -- generated code vs the interpreted reference ------------------------------
+#
+# The indexed strategy's searches and every action program are generated
+# Python (``repro.engine.codegen``).  These properties pin them to the
+# interpreted reference: ``search_indexed`` match for match *in order*
+# (order decides id allocation downstream), and ``run_actions`` down to the
+# snapshot bytes (which include union-find parent arrays, so even the
+# canonicalize calls must line up).
+
+VARS = ["a", "b", "c", "d"]
+COLUMN = st.one_of(
+    st.sampled_from(VARS).map(QVar), st.integers(0, 2).map(i64)
+)
+TABLE_SHAPES = {"r": 2, "s": 1, "f": 1}  # r, s: relations; f: i64 -> i64
+
+
+ATOM = st.builds(
+    lambda func, columns: (func, columns),
+    st.sampled_from(sorted(TABLE_SHAPES)),
+    st.lists(COLUMN, min_size=3, max_size=3),
+)
+PRIM = st.one_of(
+    st.builds(lambda x, y: PrimAtom("<", (x, y)), COLUMN, COLUMN),
+    st.builds(lambda x, y: PrimAtom("+", (x, i64(1)), y), COLUMN, COLUMN),
+    st.builds(lambda x, y: PrimAtom("!=", (x, y)), COLUMN, COLUMN),
+)
+WRITE = st.tuples(
+    st.sampled_from(["r", "s", "f", "drop-r", "search"]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+
+
+def _query(atom_specs, prims):
+    atoms = []
+    for n, (func, columns) in enumerate(atom_specs):
+        arity = TABLE_SHAPES[func]
+        out = columns[arity] if func == "f" else QVar(f"$out{n}")
+        atoms.append(TableAtom(func, tuple(columns[:arity]), out))
+    return Query(atoms=atoms, prims=list(prims))
+
+
+def _tables():
+    decls = {
+        "r": FunctionDecl(name="r", arg_sorts=(I64, I64), out_sort=UNIT),
+        "s": FunctionDecl(name="s", arg_sorts=(I64,), out_sort=UNIT),
+        "f": FunctionDecl(name="f", arg_sorts=(I64,), out_sort=I64),
+    }
+    return {name: Table(decl) for name, decl in decls.items()}
+
+
+def _write(tables, op, x, y, ts):
+    from repro.core.values import UNIT_VALUE
+
+    if op == "r":
+        tables["r"].put((i64(x), i64(y)), UNIT_VALUE, ts)
+    elif op == "s":
+        tables["s"].put((i64(x),), UNIT_VALUE, ts)
+    elif op == "f":
+        tables["f"].put((i64(x),), i64(y), ts)  # may overwrite: output moves
+    elif op == "drop-r":
+        tables["r"].remove((i64(x), i64(y)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atom_specs=st.lists(ATOM, min_size=0, max_size=3),
+    prims=st.lists(PRIM, max_size=2),
+    writes=st.lists(WRITE, min_size=1, max_size=30),
+)
+def test_generated_search_matches_search_indexed_in_order(atom_specs, prims, writes):
+    """Two identical databases see the same writes; one is searched by the
+    interpreted ``search_indexed``, the other by the generated search,
+    interleaved with the writes (so lazily built indexes must appear at the
+    same moments on both sides).  Full and per-atom delta searches must
+    agree match for match, in order."""
+    from repro.core.builtins import default_registry
+    from repro.engine.compilecache import CompileCacheRegistry
+
+    query = _query(atom_specs, prims)
+    registry = default_registry()
+    plan, consts = CompileCacheRegistry().plan(query, "indexed")
+    reference, generated = _tables(), _tables()
+    for ts, (op, x, y, back) in enumerate(writes, start=1):
+        if op != "search":
+            _write(reference, op, x, y, ts)
+            _write(generated, op, x, y, ts)
+            continue
+        since = max(0, ts - 4 * back)  # a watermark 0, 4 or 8 writes ago
+        for delta_atom in [None, *range(len(query.atoms))]:
+            expected = list(
+                search_indexed(reference, registry, query, delta_atom=delta_atom, since=since)
+            )
+            out = []
+            seen = set() if delta_atom is not None else None
+            plan.query_exec.search_into(
+                generated, registry.call, consts, delta_atom, since, out, seen
+            )
+            assert [dict(zip(plan.slot_names, m)) for m in out] == expected
+
+
+def test_generated_search_builds_indexes_when_the_interpreter_does():
+    # An index built later, from ``data``, orders its entries differently
+    # from one maintained through the same writes.  The generated search
+    # must request a nested step's index at that step's first visit, like
+    # the interpreter — not up front when the outer loop has no rows.
+    from repro.core.builtins import default_registry
+    from repro.core.values import UNIT_VALUE
+    from repro.engine.compilecache import CompileCacheRegistry
+
+    query = Query(
+        atoms=[
+            TableAtom("s", (QVar("a"),), QVar("$0")),
+            TableAtom("f", (QVar("b"),), QVar("a")),
+        ]
+    )
+    registry = default_registry()
+    plan, consts = CompileCacheRegistry().plan(query, "indexed")
+    reference, generated = _tables(), _tables()
+
+    def both(op):
+        for tables in (reference, generated):
+            op(tables)
+
+    both(lambda t: t["f"].put((i64(0),), i64(1), 1))
+    both(lambda t: t["f"].put((i64(1),), i64(1), 1))
+    assert list(search_indexed(reference, registry, query)) == []
+    out = []
+    plan.query_exec.search_into(generated, registry.call, consts, None, 0, out)  # s is empty
+    assert out == []
+    both(lambda t: t["f"].put((i64(0),), i64(2), 2))  # f(0) moves away...
+    both(lambda t: t["f"].put((i64(0),), i64(1), 3))  # ...and back
+    both(lambda t: t["s"].put((i64(1),), UNIT_VALUE, 3))
+    expected = list(search_indexed(reference, registry, query))
+    plan.query_exec.search_into(generated, registry.call, consts, None, 0, out)
+    assert [dict(zip(plan.slot_names, m)) for m in out] == expected
+    assert [m["b"] for m in expected] == [i64(0), i64(1)]
+
+
+def test_long_join_orders_continue_in_helper_functions():
+    # CPython compiles at most 20 nested blocks per function; a join of
+    # more atoms than that must still compile, and still agree with the
+    # interpreter in order, for full and delta searches alike.
+    def chain_engine():
+        eg = EGraph()
+        eg.relation("e", (I64, I64))
+        eg.relation("far", (I64, I64))
+        hops = [App("e", V(f"x{n}"), V(f"x{n + 1}")) for n in range(40)]
+        eg.add_rule(
+            Rule(name="far", facts=hops, actions=[Expr(App("far", V("x0"), V("x40")))])
+        )
+        for n in range(44):
+            eg.add(App("e", n, n + 1))
+        eg.add(App("e", 3, 3))
+        return eg
+
+    generated, reference = chain_engine(), chain_engine()
+    rule = generated.rules["far"]
+    exec_ = generated.rule_exec(rule)
+    compiled = [exec_.substitution(m) for m in exec_.search_full(generated.tables)]
+    assert compiled == list(generated.search(rule.query))
+    assert len(compiled) > 4
+    for eg in (generated, reference):
+        eg.add(App("e", 44, 45))
+    generated.run(3)
+    _reference_run(reference, 3)
+    assert _engine_bytes(generated) == _engine_bytes(reference)
+    assert generated.check(*[App("e", n, n + 1) for n in range(30)]) == 1
+
+
+def test_queries_differing_in_constants_share_one_plan():
+    # Indexed plans are compiled per query *shape*; the constants arrive
+    # per search.  Two checks that differ only in a constant must share
+    # the plan and still answer with their own constants.
+    from repro.engine.compilecache import CACHE
+
+    eg = tc_engine(edges=((1, 2), (2, 3), (3, 4), (1, 3), (5, 1)))
+    eg.run(10)
+    CACHE.clear()
+    counts = [eg.check(App("path", n, V("y"))) for n in (1, 2, 5)]
+    stats = CACHE.stats()
+    assert (stats["misses"], stats["hits"]) == (1, 2)
+    expected = [
+        len(list(eg.search(compile_facts([App("path", n, V("y"))], eg.is_table))))
+        for n in (1, 2, 5)
+    ]
+    assert counts == expected == [3, 2, 4]
+
+
+def test_code_objects_never_evict_plans():
+    # Plans and code objects sit in separate LRUs: a burst of new code
+    # must not push a rule's plan out (it would recompile every batch).
+    from repro.engine.compilecache import CompileCacheRegistry
+
+    cache = CompileCacheRegistry(maxsize=2)
+    eg = tc_engine()
+    queries = [
+        compile_facts([App("edge", V("x"), V("y"))], eg.is_table),
+        compile_facts([App("path", V("x"), V("y"))], eg.is_table),
+    ]
+    plans = [cache.plan(query, "indexed")[0] for query in queries]
+    for n in range(3):
+        cache.code(f"def f():\n    return {n}\n")
+    assert [cache.plan(query, "indexed")[0] for query in queries] == plans
+    stats = cache.stats()
+    assert (stats["size"], stats["evictions"]) == (2, 0)
+    assert (stats["code_size"], stats["code_evictions"]) == (2, 1)
+
+
+def _action_engine():
+    eg = EGraph()
+    eg.declare_sort("S")
+    eg.constructor("k", (I64,), "S")
+    eg.constructor("pair", ("S", "S"), "S")
+    eg.function("g", (I64,), I64, merge="min")
+    eg.function("h", ("S",), I64, merge="max")
+    eg.function("tag", (I64,), "S")  # eq-sorted output, union merge
+    eg.function("strict", (I64,), I64, merge="error")
+    eg.function("dflt", (I64,), I64, default=i64(5))
+    eg.relation("r", (I64,))
+    eg.relation("rs", ("S",))
+    for n in range(3):
+        eg.add(App("k", n))
+        eg.add(App("r", n))
+    eg.union(App("k", 0), App("k", 1))  # a non-canonical id to chase
+    return eg
+
+
+X = st.sampled_from([V("x"), V("y"), V("w"), L(0), L(1), L(2)])
+EQ = st.sampled_from([V("p"), V("q"), V("t")])
+I64_TERM = st.one_of(
+    X,
+    st.builds(lambda a: App("+", a, L(1)), X),
+    st.builds(lambda a: App("g", a), X),
+    st.builds(lambda a: App("dflt", a), X),
+    st.builds(lambda e: App("h", e), EQ),
+)
+EQ_TERM = st.one_of(
+    EQ,
+    st.builds(lambda a: App("k", a), X),
+    st.builds(lambda e, f: App("pair", e, f), EQ, EQ),
+    st.builds(lambda a: App("tag", a), X),
+)
+ACTION = st.one_of(
+    st.builds(lambda t: Let("w", t), I64_TERM),
+    st.builds(lambda t: Let("x", t), I64_TERM),  # shadows a query slot
+    st.builds(lambda t: Let("t", t), EQ_TERM),
+    st.builds(lambda t: Let("p", t), EQ_TERM),  # shadows an eq slot
+    st.builds(lambda a: Expr(App("r", a)), I64_TERM),
+    st.builds(lambda e: Expr(App("rs", e)), EQ_TERM),
+    st.builds(Expr, EQ_TERM),
+    st.builds(lambda a, v: Set(App("g", a), v), X, I64_TERM),
+    st.builds(lambda e, v: Set(App("h", e), v), EQ, I64_TERM),
+    st.builds(lambda a, e: Set(App("tag", a), e), X, EQ_TERM),
+    st.builds(lambda a, v: Set(App("strict", a), v), X, X),
+    st.builds(lambda a: Delete(App("r", a)), X),
+    st.builds(lambda a: Delete(App("g", a)), X),
+    st.builds(Union, EQ_TERM, EQ_TERM),
+    st.just(Panic("stop here")),
+    st.builds(lambda a: Expr(App("/", L(1), a)), X),  # fails on 0
+)
+
+
+def _engine_bytes(eg):
+    from repro.serialize.snapshot import dumps_document, engine_document
+
+    return dumps_document(engine_document(eg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    actions=st.lists(ACTION, min_size=1, max_size=6),
+    matches=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4),
+)
+def test_generated_actions_match_run_actions(actions, matches):
+    """Fire the same action list under the same matches through
+    ``run_actions`` and through the generated program: the same error (if
+    any) at the same point, and byte-identical engines afterwards."""
+    from repro.core.values import UNIT_VALUE
+    from repro.engine import EGraphPanic
+    from repro.engine.program import compile_actions
+
+    query = compile_facts(
+        [
+            App("r", V("x")),
+            App("r", V("y")),
+            eqf("p", App("k", V("x"))),
+            eqf("q", App("k", V("y"))),
+        ],
+        lambda name: name in ("r", "k"),
+    )
+    slot_of, names = assign_slots(query)
+    reference, generated = _action_engine(), _action_engine()
+    fire_generated = compile_actions(generated, actions, slot_of, len(names), query)
+    k_rows = reference.tables["k"]
+    # Raw (possibly stale) ids, as a search would have bound them before
+    # earlier matches' unions.
+    bound = [
+        {
+            "x": i64(x),
+            "y": i64(y),
+            "p": k_rows.get((i64(x),)),
+            "q": k_rows.get((i64(y),)),
+        }
+        for x, y in matches
+    ]
+    for subst in bound:
+        full = {name: subst.get(name, UNIT_VALUE) for name in names}
+        outcomes = []
+        for fire in (
+            lambda: run_actions(reference, actions, full),
+            lambda: fire_generated((tuple(full[name] for name in names),)),
+        ):
+            try:
+                fire()
+                outcomes.append(None)
+            except (EGraphError, EGraphPanic) as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
+        assert _engine_bytes(reference) == _engine_bytes(generated)
+        assert reference.updates == generated.updates
+        assert reference._proof_log == generated._proof_log
+        if outcomes[0] is not None:
+            break
+
+
+def _rich_engine():
+    """Rules covering the generator's cases: constants, repeated variables,
+    primitive guards and binders, let shadowing, ``set`` with a merge,
+    ``delete``, eq-sorted outputs and unions."""
+    from repro.engine import eq, rewrite
+
+    eg = EGraph()
+    eg.declare_sort("E")
+    eg.constructor("num", (I64,), "E")
+    eg.constructor("add", ("E", "E"), "E")
+    eg.relation("edge", (I64, I64))
+    eg.relation("path", (I64, I64))
+    eg.relation("loop", (I64,))
+    eg.relation("far", (I64,))
+    eg.function("dist", (I64, I64), I64, merge="min")
+    eg.add_rules(
+        Rule(
+            name="base",
+            facts=[App("edge", V("x"), V("y"))],
+            actions=[Expr(App("path", V("x"), V("y"))), Set(App("dist", V("x"), V("y")), L(1))],
+        ),
+        Rule(
+            name="step",
+            facts=[
+                App("path", V("x"), V("y")),
+                App("edge", V("y"), V("z")),
+                eq(V("d"), App("dist", V("x"), V("y"))),
+                App("!=", V("x"), V("z")),
+            ],
+            actions=[
+                Expr(App("path", V("x"), V("z"))),
+                Set(App("dist", V("x"), V("z")), App("+", V("d"), L(1))),
+            ],
+        ),
+        Rule(name="loop", facts=[App("edge", V("x"), V("x"))], actions=[Expr(App("loop", V("x")))]),
+        Rule(
+            name="from-zero",
+            facts=[App("edge", L(0), V("y"))],
+            actions=[Let("y", App("+", V("y"), L(10))), Expr(App("far", V("y")))],
+        ),
+        Rule(
+            name="prune",
+            facts=[App("far", V("x")), App(">", V("x"), L(11))],
+            actions=[Delete(App("far", V("x")))],
+        ),
+        rewrite(App("add", V("a"), V("b")), App("add", V("b"), V("a")), name="comm"),
+        rewrite(
+            App("add", App("num", V("n")), App("num", V("m"))),
+            App("num", App("+", V("n"), V("m"))),
+            name="fold",
+        ),
+    )
+    return eg
+
+
+def _reference_run(eg, limit):
+    """The scheduler's iteration, driven by ``search_indexed`` and
+    ``run_actions`` instead of generated code."""
+    from repro.core.proofs import rule_justification
+    from repro.engine.rebuild import rebuild
+    from repro.engine.rule import DEFAULT_RULESET
+
+    for _ in range(limit):
+        updates = eg.updates
+        rebuild(eg)
+        searched = []
+        for name in eg.rulesets[DEFAULT_RULESET]:
+            rule = eg.rules[name]
+            query = rule.query
+            if rule.last_run <= 0:
+                matches = list(search_indexed(eg.tables, eg.registry, query))
+            else:
+                matches, seen = [], set()
+                for index, atom in enumerate(query.atoms):
+                    if not eg.tables[atom.func].has_new(rule.last_run):
+                        continue
+                    for match in search_indexed(
+                        eg.tables, eg.registry, query, delta_atom=index, since=rule.last_run
+                    ):
+                        key = tuple(sorted(match.items()))
+                        if key not in seen:
+                            seen.add(key)
+                            matches.append(match)
+            searched.append((rule, matches))
+        eg.timestamp += 1
+        for table in eg.tables.values():
+            table.begin_batch()
+        try:
+            for rule, matches in searched:
+                previous = eg.set_union_reason(rule_justification(rule.name))
+                try:
+                    for match in matches:
+                        run_actions(eg, rule.actions, match)
+                finally:
+                    eg.set_union_reason(previous)
+                rule.last_run = eg.timestamp
+        finally:
+            for table in eg.tables.values():
+                table.end_batch()
+        rebuild(eg)
+        if eg.updates == updates:
+            break
+
+
+RICH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("edge"), st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("union"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("run"), st.integers(1, 4), st.just(0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=RICH_OPS)
+def test_scheduler_on_generated_code_matches_interpreted_reference(ops):
+    """Random interleavings of inserts, unions and runs: the engine's run
+    (generated search and actions) and a reference scheduler built from
+    ``search_indexed`` + ``run_actions`` must stay byte-identical."""
+    engines = [_rich_engine(), _rich_engine()]
+    for op, a, b in ops:
+        for n, eg in enumerate(engines):
+            if op == "edge":
+                eg.add(App("edge", a, b))
+            elif op == "add":
+                eg.add(App("add", App("num", a), App("num", b)))
+            elif op == "union":
+                eg.union(App("num", a), App("num", b))
+            elif n == 0:
+                eg.run(a)
+            else:
+                _reference_run(eg, a)
+        assert _engine_bytes(engines[0]) == _engine_bytes(engines[1])
+        assert engines[0].updates == engines[1].updates
 
 
 # -- cache invalidation: rule edits, push/pop, strategy switches --------------

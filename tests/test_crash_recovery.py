@@ -193,6 +193,21 @@ def test_sigterm_drains_and_checkpoints_everything(tmp_path):
         second.close()
 
 
+def test_sigterm_on_the_listening_line_stops_gracefully(tmp_path):
+    # The signal handlers must be installed before the listening line is
+    # printed: a supervisor that signals the moment it reads the line gets
+    # a clean exit 0, not a default SIGTERM death (-15).
+    for _ in range(3):
+        server = Server(tmp_path / "state")
+        try:
+            code = server.sigterm()
+            out = server.drain_output()
+        finally:
+            server.close()
+        assert code == 0, out
+        assert "repro-serve stopped" in out
+
+
 def test_crash_inside_checkpoint_never_corrupts_the_store(tmp_path):
     from repro.serialize.snapshot import read_document
     from repro.testing.faults import CRASH_EXIT_CODE

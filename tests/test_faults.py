@@ -207,9 +207,10 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path):
     s.run_egg("(datatype M (N i64))")
     sid = s.id
     mgr.checkpoint_session(sid)
+    # Passivate, so the next get() goes through restore.
+    assert mgr._retire(mgr._sessions[sid])
     with open(mgr.store.path(sid), "a", encoding="utf-8") as handle:
         handle.write("garbage")  # bit rot
-    mgr._sessions.pop(sid)  # force the next get() through restore
     with pytest.raises(CheckpointError, match="unreadable"):
         mgr.get(sid)
     assert mgr.stats()["durability"]["restore_failures"] == 1
@@ -224,7 +225,7 @@ def test_restore_fault_counts_as_restore_failure(tmp_path):
     s.run_egg("(datatype M (N i64))")
     sid = s.id
     mgr.checkpoint_session(sid)
-    mgr._sessions.pop(sid)  # force the next get() through restore
+    assert mgr._retire(mgr._sessions[sid])  # the next get() goes through restore
     FAULTS.arm("restore", tag=sid)
     with pytest.raises(CheckpointError):
         mgr.get(sid)

@@ -2,8 +2,8 @@
 
 ``EGraph.fork()`` (engine and DSL surfaces) must produce *deeply* isolated
 copies — no shared tables, union-find, rulesets, or handle state — while
-intentionally sharing the primitive registry so the process-level compiled
-plan cache stays hot across forks.  Run budgets (``deadline_s`` /
+intentionally sharing the primitive registry, and hitting the process-level
+compiled plan cache instead of recompiling.  Run budgets (``deadline_s`` /
 ``max_nodes``) must stop the scheduler cleanly *between* iterations with a
 partial report whose ``stopped_reason`` names the exhausted budget, and a
 budget-stopped run must never claim saturation.

@@ -458,6 +458,253 @@ def test_remove_session_also_discards_checkpoint(tmp_path):
         mgr.get(s.id)
 
 
+def test_delete_racing_passivation_leaves_no_checkpoint(tmp_path):
+    # DELETE lands while the LRU victim's checkpoint save is blocked: the
+    # delete must return without waiting for that save, and the file the
+    # save writes afterwards must not survive as an orphan.
+    mgr = SessionManager(max_sessions=1, state_dir=str(tmp_path))
+    victim = mgr.create_session()
+    victim.run_egg("(datatype M (N i64))\n(let e (N 1))")
+    real_save = mgr.store.save
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked_save(session):
+        entered.set()
+        assert release.wait(10)
+        return real_save(session)
+
+    mgr.store.save = blocked_save
+    admitted = []
+    admit = threading.Thread(target=lambda: admitted.append(mgr.create_session()))
+    admit.start()  # capacity pressure: passivates the victim
+    assert entered.wait(10)
+
+    deleter = threading.Thread(target=mgr.remove_session, args=(victim.id,))
+    deleter.start()
+    deleter.join(5)
+    assert not deleter.is_alive(), "DELETE waited on the passivation's save"
+    release.set()
+    admit.join(10)
+    assert not admit.is_alive()
+    mgr.store.save = real_save
+
+    assert admitted and admitted[0].id != victim.id
+    assert not mgr.store.contains(victim.id)
+    assert victim.id not in mgr.store.ids()
+    assert victim.id not in mgr._passivated_ids()
+    assert mgr.stats()["durability"]["passivated"] == 0
+    with pytest.raises(UnknownSessionError):
+        mgr.get(victim.id)
+
+
+class _PausingLock:
+    """Stands in for the manager lock: the thread named in ``thread`` stops
+    at its next acquire until ``resume`` is set."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.thread = None
+        self.reached, self.resume = threading.Event(), threading.Event()
+
+    def acquire(self, blocking=True, timeout=-1):
+        if self.thread is threading.current_thread():
+            self.thread = None
+            self.reached.set()
+            assert self.resume.wait(10)
+        return self._inner.acquire(blocking, timeout)
+
+    def release(self):
+        self._inner.release()
+
+    def _is_owned(self):  # the manager lock is an RLock; Condition asks this
+        return self._inner._is_owned()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_get_between_passivation_save_and_table_drop_finds_session(tmp_path):
+    # Pause the passivation after its checkpoint is written, just before it
+    # takes the manager lock to drop the victim from the table.  A lookup
+    # in that window must find the session (live, or restorable from the
+    # checkpoint), never answer "no session".
+    mgr = SessionManager(max_sessions=1, state_dir=str(tmp_path))
+    victim = mgr.create_session()
+    victim.run_egg("(datatype M (N i64))\n(let e (N 1))")
+    pausing = _PausingLock(mgr._lock)
+    mgr._lock = pausing
+    mgr._restored = threading.Condition(pausing)
+    real_save = mgr.store.save
+
+    def save_then_pause(session):
+        document = real_save(session)
+        pausing.thread = threading.current_thread()
+        return document
+
+    mgr.store.save = save_then_pause
+    admit = threading.Thread(target=mgr.create_session)
+    admit.start()  # capacity pressure: passivates the victim
+    try:
+        assert pausing.reached.wait(10)
+        assert mgr.get(victim.id).id == victim.id
+    finally:
+        pausing.resume.set()
+        admit.join(10)
+    assert not admit.is_alive()
+    mgr.store.save = real_save
+    assert victim.retired and victim.id in mgr._passivated_ids()
+    # A batch on the retired object chases the restored incarnation.
+    victim.run_egg("(check (= e (N 1)))")
+    assert mgr.get(victim.id) is not victim
+    assert mgr.stats()["durability"]["restores"] == 1
+
+
+def test_delete_racing_explicit_checkpoint_leaves_no_checkpoint(tmp_path):
+    mgr = SessionManager(state_dir=str(tmp_path))
+    s = mgr.create_session()
+    real_save = mgr.store.save
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked_save(session):
+        entered.set()
+        assert release.wait(10)
+        return real_save(session)
+
+    mgr.store.save = blocked_save
+    errors = []
+
+    def checkpoint():
+        try:
+            mgr.checkpoint_session(s.id)
+        except UnknownSessionError as error:
+            errors.append(error)
+
+    worker = threading.Thread(target=checkpoint)
+    worker.start()
+    assert entered.wait(10)
+    mgr.remove_session(s.id)  # returns while the save is still blocked
+    release.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    mgr.store.save = real_save
+    assert errors and "deleted" in str(errors[0])
+    assert not mgr.store.contains(s.id)
+
+
+def test_passivated_set_matches_state_dir_after_churn(tmp_path):
+    # Listing and stats answer from memory; after any mix of creates,
+    # evictions, restores, checkpoints and deletes, that memory must equal
+    # "checkpoint files of sessions that are not live".
+    import random
+
+    mgr = SessionManager(max_sessions=2, state_dir=str(tmp_path))
+    mgr.add_base_from_program("tc", TC_PROGRAM)
+    rng = random.Random(7)
+    known = []
+
+    def agree(manager):
+        live = {info["id"] for info in manager.sessions() if not info.get("passivated")}
+        on_disk = set(manager.store.ids()) - live
+        assert set(manager._passivated_ids()) == on_disk
+        assert manager.stats()["durability"]["passivated"] == len(on_disk)
+
+    for _ in range(60):
+        op = rng.choice(["create", "create", "touch", "checkpoint", "delete"])
+        if op == "create" or not known:
+            known.append(mgr.create_session("tc").id)
+        elif op == "touch":
+            mgr.get(rng.choice(known)).run_egg("(run 2)")
+        elif op == "checkpoint":
+            mgr.checkpoint_session(rng.choice(known))
+        else:
+            sid = known.pop(rng.randrange(len(known)))
+            mgr.remove_session(sid)
+        agree(mgr)
+    mgr.checkpoint_all()
+    agree(mgr)
+    agree(SessionManager(state_dir=str(tmp_path)))  # start-up discovery
+
+
+def test_concurrent_churn_leaves_no_orphan_checkpoints(tmp_path):
+    # More threads than cores creating, touching, checkpointing and
+    # deleting sessions against a small LRU cap, with a short switch
+    # interval to shake out interleavings.  Afterwards every checkpoint
+    # file must belong to a session that still exists, and the in-memory
+    # passivated set must equal the directory minus the live sessions.
+    import random
+    import sys
+
+    mgr = SessionManager(max_sessions=2, state_dir=str(tmp_path))
+    mgr.add_base_from_program("tc", TC_PROGRAM)
+    ids, ids_lock, deleted = [], threading.Lock(), set()
+    failures = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(25):
+                op = rng.choice(["create", "touch", "checkpoint", "delete"])
+                with ids_lock:
+                    pick = rng.choice(ids) if ids else None
+                try:
+                    if op == "create" or pick is None:
+                        sid = mgr.create_session("tc").id
+                        with ids_lock:
+                            ids.append(sid)
+                    elif op == "touch":
+                        mgr.get(pick).run_egg("(run 2)")
+                    elif op == "checkpoint":
+                        mgr.checkpoint_session(pick)
+                    else:
+                        with ids_lock:
+                            deleted.add(pick)  # before the delete can land
+                        mgr.remove_session(pick)
+                        with ids_lock:
+                            if pick in ids:
+                                ids.remove(pick)
+                except CapacityError:
+                    pass  # every slot busy with another thread's batch
+                except UnknownSessionError:
+                    # Only a delete may make a session unknown; a 404 for
+                    # a session nobody deleted lost it to a passivation.
+                    with ids_lock:
+                        if pick not in deleted:
+                            raise
+        except Exception as error:  # pragma: no cover - reported below
+            failures.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not failures, failures
+    live = {info["id"] for info in mgr.sessions() if not info.get("passivated")}
+    on_disk = set(mgr.store.ids())
+    assert not on_disk & deleted
+    assert set(mgr._passivated_ids()) == on_disk - live
+
+
+def test_restore_refused_for_capacity_stays_restorable(tmp_path):
+    mgr = SessionManager(max_sessions=1, state_dir=str(tmp_path))
+    aid = mgr.create_session().id
+    b = mgr.create_session()  # passivates a
+    with b.lock:  # b is busy: no room to bring a back
+        with pytest.raises(CapacityError):
+            mgr.get(aid)
+    assert aid in mgr._passivated_ids()
+    assert mgr.get(aid).id == aid  # b is idle now and gets passivated
+
+
 def test_failed_batch_rolls_back_engine_and_globals():
     mgr = SessionManager()
     s = mgr.create_session()
@@ -470,6 +717,33 @@ def test_failed_batch_rolls_back_engine_and_globals():
     with pytest.raises(ProgramError):
         s.run_program([{"op": "run", "limit": 1}, {"op": "nope"}])
     assert _engine_bytes(s) == before
+
+
+def test_committed_batch_keeps_executors_and_rollback_recompiles():
+    # Capturing the rollback state leaves the live tables in place, so a
+    # batch that commits keeps its compiled executors; a rollback swaps
+    # state back in and must recompile before the next run.
+    mgr = SessionManager()
+    s = mgr.create_session()
+    s.run_egg(TC_PROGRAM + "(run 10)")
+    engine = s.engine
+    epoch = engine.compile_epoch
+    s.run_egg("(edge 5 6)\n(run 10)\n(check (path 1 6))")
+    assert engine.compile_epoch == epoch
+    with pytest.raises(ProgramError):
+        s.run_egg(
+            "(relation hop (i64))\n"
+            "(rule ((path x y)) ((hop x)) :name \"hop\")\n"
+            "(edge 6 7)\n(run 10)\n(no-such-command)"
+        )
+    assert engine.compile_epoch != epoch
+    assert "hop" not in engine.tables and "hop" not in engine.rules
+    s.run_egg("(edge 6 8)\n(run 10)\n(check (path 1 8))")
+    with pytest.raises(ProgramError):
+        s.run_egg("(check (path 1 7))")
+    reference = SessionManager().create_session()
+    reference.run_egg(TC_PROGRAM + "(run 10)\n(edge 5 6)\n(run 10)\n(edge 6 8)\n(run 10)")
+    assert _engine_bytes(s) == _engine_bytes(reference)
 
 
 def test_non_atomic_batch_keeps_partial_state():
