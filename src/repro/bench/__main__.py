@@ -5,7 +5,7 @@ Examples::
     python -m repro.bench                 # full suite, 3 repeats, cwd output
     python -m repro.bench --quick         # CI-smoke sizes, 1 repeat
     python -m repro.bench --only tc       # transitive-closure workloads only
-    python -m repro.bench --variants generic-index,generic-adhoc
+    python -m repro.bench --variants indexed     # default strategy only
     python -m repro.bench --profile --only math   # cProfile instead of timing
 """
 

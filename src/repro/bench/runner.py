@@ -9,9 +9,8 @@ median over repeats — robust to one noisy run without needing many.
 One ``BENCH_<name>.json`` is written per workload.  The schema is stable
 (``schema`` key, fixed key set per level) so downstream tooling and future
 PRs can diff numbers without parsing churn.  The ``comparison`` block
-records the headline the index subsystem is accountable for: persistent
-incremental indexes (``generic-index``) versus the per-execution trie
-rebuild baseline (``generic-adhoc``) on the same workload.
+records the headline: the default index-nested-loop join (``indexed``)
+versus generic join (``generic``) on the same workload.
 """
 
 from __future__ import annotations
@@ -33,17 +32,16 @@ from .workloads import Workload
 #: stay tolerant of v1 files (no ``run_s_stats`` key).
 SCHEMA = "repro.bench/v2"
 
-#: Engine variants measured by default: the persistent-index generic join,
-#: its per-execution trie-rebuild baseline, and the index-nested-loop join.
+#: Engine variants measured by default: the index-nested-loop join (the
+#: engine default) and generic join, each named after its strategy.
 DEFAULT_VARIANTS: Dict[str, str] = {
-    "generic-index": "generic",
-    "generic-adhoc": "generic-adhoc",
     "indexed": "indexed",
+    "generic": "generic",
 }
 
 #: The headline comparison recorded in each BENCH file.
-BASELINE_VARIANT = "generic-adhoc"
-CANDIDATE_VARIANT = "generic-index"
+BASELINE_VARIANT = "generic"
+CANDIDATE_VARIANT = "indexed"
 
 
 def _run_once(workload: Workload, strategy: str) -> Dict[str, object]:
@@ -216,6 +214,6 @@ def run_suite(
         )
         comparison = document.get("comparison")
         if isinstance(comparison, dict) and comparison.get("speedup"):
-            summary += f"  (index speedup over adhoc: {comparison['speedup']:.2f}x)"
+            summary += f"  (indexed speedup over generic: {comparison['speedup']:.2f}x)"
         log(f"bench: {workload.name}: {summary} -> {path}")
     return paths

@@ -28,13 +28,12 @@ The default ``indexed`` strategy renders these plans as generated Python
 source, one function per (delta atom, join order)
 (:class:`repro.engine.codegen.IndexedSearch`).  The generic-join executor
 below, :class:`CompiledGenericQuery`, stays a plan interpreter: a
-worst-case optimal join over the persistent trie indexes (or per-execution
-tries for the ad-hoc baseline) whose per-depth sets of involved atoms are
-fully static, so the descent does no per-node atom scanning.  Both
-enumerate matches in exactly the order of their interpreted counterparts
-for the same database state, so compiled and interpreted runs produce
-identical results (same e-class allocation order, same extraction
-tie-breaks).
+worst-case optimal join over tries built per search, whose per-depth sets
+of involved atoms are fully static, so the descent does no per-node atom
+scanning.  Both enumerate matches in exactly the order of their
+interpreted counterparts for the same database state, so compiled and
+interpreted runs produce identical results (same e-class allocation
+order, same extraction tie-breaks).
 
 Cache invalidation is the engine's job: compiled executors are cached per
 (rule, strategy) and keyed by the engine's compile epoch, which push/pop
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .database import Table
-from .index import NONEMPTY, descend_constants, plan_query
+from .genericjoin import structural_var_order
 from .query import PrimAtom, Query, QVar, TableAtom
 from .values import BOOL, UNIT, Value
 
@@ -56,6 +55,10 @@ MatchTuple = Tuple[Value, ...]
 #: Shared immutable "exhausted sub-trie" node (never mutated: the descent
 #: only calls ``len``/``get``/iteration on nodes).
 _EMPTY: Dict = {}
+
+#: Sub-trie for a fully-constant atom that matched: non-empty but never
+#: descended (the atom binds no variables).
+NONEMPTY = {"__nonempty__": True}
 
 
 def _recorder(
@@ -364,19 +367,17 @@ _ROLE_CONST = 2
 class _GenericAtom:
     """Static per-atom data for the generic-join executor.
 
-    ``spec`` is the persistent-index access plan (None for repeated-variable
-    atoms).  ``roles`` drive the ad-hoc projection fallback with zero
-    per-row isinstance work: each entry is ``(role, payload)`` per column —
-    bind into a local projection slot, compare against an earlier local
-    slot, or compare against a constant.  ``permutation`` reorders the
-    projected row into the global variable-rank order for the trie build.
+    ``roles`` drive the per-search trie build with zero per-row isinstance
+    work: each entry is ``(role, payload)`` per column — bind into a local
+    projection slot, compare against an earlier local slot, or compare
+    against a constant.  ``permutation`` reorders the projected row into
+    the global variable-rank order for the trie build.
     """
 
-    __slots__ = ("func", "spec", "sorted_vars", "roles", "permutation", "width")
+    __slots__ = ("func", "sorted_vars", "roles", "permutation", "width")
 
-    def __init__(self, atom: TableAtom, spec, var_rank: Dict[str, int]) -> None:
+    def __init__(self, atom: TableAtom, var_rank: Dict[str, int]) -> None:
         self.func = atom.func
-        self.spec = spec
         local_of: Dict[str, int] = {}
         names: List[str] = []
         roles: List[Tuple[int, object]] = []
@@ -403,32 +404,21 @@ class CompiledGenericQuery:
 
     The global variable order, the per-depth involved-atom lists, and every
     atom's column roles are resolved once at construction; an execution
-    only descends tries and intersects children.
+    builds one trie per atom, then descends them and intersects children.
     """
 
-    def __init__(
-        self,
-        query: Query,
-        slot_of: Dict[str, int],
-        n_slots: int,
-        *,
-        use_indexes: bool = True,
-    ) -> None:
+    def __init__(self, query: Query, slot_of: Dict[str, int], n_slots: int) -> None:
         self.query = query
         self.slot_of = slot_of
         self.n_slots = n_slots
-        self.use_indexes = use_indexes
         self.prim_runner = compile_prims(
             query.prims, slot_of, table_bound_slots(query, slot_of)
         )
         self.no_prims = not query.prims
-        plan = plan_query(query)
-        self.var_order = plan.var_order
-        self.depth_slots = tuple(slot_of[name] for name in plan.var_order)
-        self.atoms = tuple(
-            _GenericAtom(atom, spec, plan.var_rank)
-            for atom, spec in zip(query.atoms, plan.specs)
-        )
+        self.var_order = tuple(structural_var_order(query.atoms))
+        var_rank = {name: rank for rank, name in enumerate(self.var_order)}
+        self.depth_slots = tuple(slot_of[name] for name in self.var_order)
+        self.atoms = tuple(_GenericAtom(atom, var_rank) for atom in query.atoms)
         # Ascending atom order per depth, matching the interpreted
         # executor's `range(n_atoms)` relevance scan (min() tie-breaks on
         # the first atom in that order).
@@ -441,7 +431,7 @@ class CompiledGenericQuery:
             for depth_var in self.var_order
         )
 
-    # -- per-execution trie setup --------------------------------------------
+    # -- per-search trie build -----------------------------------------------
 
     def _atom_node(
         self,
@@ -450,14 +440,11 @@ class CompiledGenericQuery:
         restrict: bool,
         since: int,
     ) -> Optional[Dict]:
-        """The sub-trie this atom contributes, or None when it is empty."""
-        if self.use_indexes and ga.spec is not None:
-            trie = table.trie(ga.spec.order)
-            if trie is not None:
-                root = trie.delta_root(since) if restrict else trie.root
-                return descend_constants(root, ga.spec.const_values)
-        # Ad-hoc fallback: project rows through the precomputed column
-        # roles, building the trie directly in variable-rank order.
+        """The trie this atom contributes, or None when it is empty.
+
+        Rows are projected through the precomputed column roles and
+        inserted directly in variable-rank order.
+        """
         roles = ga.roles
         width = ga.width
         permutation = ga.permutation
@@ -595,9 +582,7 @@ class CompiledGenericQuery:
                 smallest, best = index, size
         saved = [nodes[index] for index in involved]
         at_leaf = next_depth == len(self.depth_slots)
-        # Snapshot the iterated level: persistent tries are live structures
-        # (same reason the interpreted strategies snapshot candidates).
-        for value in list(nodes[smallest]):
+        for value in nodes[smallest]:
             ok = True
             for position, index in enumerate(involved):
                 child = saved[position].get(value)

@@ -7,15 +7,12 @@ iteration at which it was inserted or last updated — which is what makes
 semi-naïve evaluation (Section 4.3) possible: a delta query only needs to
 look at rows whose timestamp is at least the rule's last-run timestamp.
 
-Tables own two kinds of indexes, both maintained *incrementally* on every
+Tables own hash indexes over column subsets (``index``), used by the
+index-nested-loop join and by rebuilding's dirty-id probes.  They are
+built on first request and then maintained *incrementally* on every
 ``put``/``remove`` (including the canonicalizing rewrites rebuilding
-performs):
-
-* hash indexes over column subsets (``index``), used by the
-  index-nested-loop join and by rebuilding's dirty-id probes, and
-* column-order tries (:class:`~repro.core.index.TrieIndex`, via
-  ``ensure_trie``/``trie``), consumed directly by generic join, with
-  timestamp buckets so semi-naïve delta restriction reads an index slice.
+performs).  Generic join keeps no index here: it builds its tries per
+search from ``data`` and the write log.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .index import Order, TrieIndex
 from .schema import FunctionDecl
 from .values import Value
 
@@ -71,7 +67,6 @@ class Table:
         self.decl = decl
         self.data: Dict[Key, Row] = {}
         self._indexes: Dict[Tuple[int, ...], HashIndex] = {}
-        self._tries: Dict[Order, TrieIndex] = {}
         # Append-only write log (parallel timestamp/key arrays) so that
         # ``new_keys`` — the semi-naïve delta (Section 4.3) — costs
         # O(|delta|) rather than a full-table scan.  The engine only writes
@@ -82,7 +77,7 @@ class Table:
         self._log_sorted = True
         # Deferred index maintenance (see begin_batch): while a batch is
         # open, put/remove update ``data`` and the write log immediately but
-        # queue their index/trie maintenance.  ``_pending`` maps each touched
+        # queue their index maintenance.  ``_pending`` maps each touched
         # key to the Row (or None) it had when the batch first touched it;
         # the flush applies one net update per key instead of one per write.
         self._batch_depth = 0
@@ -126,7 +121,7 @@ class Table:
             self._compact_log()
 
         if self._batch_depth:
-            if (self._indexes or self._tries) and key not in self._pending:
+            if self._indexes and key not in self._pending:
                 self._pending[key] = old
             return
         if self._indexes and (old is None or old.value != value):
@@ -142,15 +137,6 @@ class Table:
                         if not entry:
                             del index[old_proj]
                 index.setdefault(self._project(columns, key, value), {})[key] = None
-        if self._tries and (
-            old is None or old.value != value or old.timestamp != timestamp
-        ):
-            for trie in self._tries.values():
-                if trie.stale:
-                    continue  # rebuilt from ``data`` on next access
-                if old is not None:
-                    trie.remove(key + (old.value,), old.timestamp)
-                trie.insert(key + (value,), timestamp)
 
     def _project(self, columns: Tuple[int, ...], key: Key, value: Value) -> Tuple[Value, ...]:
         arity = self.decl.arity
@@ -172,7 +158,7 @@ class Table:
         if row is None:
             return None
         if self._batch_depth:
-            if (self._indexes or self._tries) and key not in self._pending:
+            if self._indexes and key not in self._pending:
                 self._pending[key] = row
             return row
         if self._indexes:
@@ -183,9 +169,6 @@ class Table:
                     entry.pop(key, None)
                     if not entry:
                         del index[proj]
-        for trie in self._tries.values():
-            if not trie.stale:
-                trie.remove(key + (row.value,), row.timestamp)
         return row
 
     def rows(self) -> Iterator[Tuple[Key, Value, int]]:
@@ -226,7 +209,7 @@ class Table:
 
         The scheduler's zero-delta short-circuit: when an atom's table has
         nothing new since a rule's watermark, the whole delta search for
-        that atom is skipped before any trie or index work happens.
+        that atom is skipped before any join work happens.
         """
         if not self._log_sorted:
             return any(row.timestamp >= since for row in self.data.values())
@@ -240,11 +223,11 @@ class Table:
     # -- batched maintenance (apply-phase / rebuild write bursts) -------------
 
     def begin_batch(self) -> None:
-        """Start deferring index/trie maintenance for a write burst.
+        """Start deferring index maintenance for a write burst.
 
         ``data`` and the write log stay up to date (reads through ``get`` /
-        ``new_keys`` see every write immediately), but hash-index and trie
-        updates are queued and applied as one *net* update per key at
+        ``new_keys`` see every write immediately), but hash-index updates
+        are queued and applied as one *net* update per key at
         :meth:`end_batch`.  The apply phase and rebuild's repair loop use
         this: a key that is removed and re-inserted (or overwritten several
         times) inside the batch costs one index remove + one insert instead
@@ -261,7 +244,7 @@ class Table:
             self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Apply the net index/trie effect of every key touched in a batch.
+        """Apply the net index effect of every key touched in a batch.
 
         Index-major: the outer loop walks each index once with its column
         set and projection decisions hoisted, instead of re-dispatching per
@@ -296,23 +279,6 @@ class Table:
                             index_setdefault(
                                 self._project(columns, key, row.value), {}
                             )[key] = None
-        if self._tries:
-            for key, old in pending.items():
-                row = data.get(key)
-                if (
-                    old is not None
-                    and row is not None
-                    and old.value == row.value
-                    and old.timestamp == row.timestamp
-                ):
-                    continue
-                for trie in self._tries.values():
-                    if trie.stale:
-                        continue  # rebuilt from ``data`` on next access
-                    if old is not None:
-                        trie.remove(key + (old.value,), old.timestamp)
-                    if row is not None:
-                        trie.insert(key + (row.value,), row.timestamp)
 
     # -- snapshots (push/pop support) ----------------------------------------
 
@@ -322,7 +288,7 @@ class Table:
         Rows are shared, not copied: the engine never mutates a ``Row`` in
         place (``put`` always stores a fresh one), so structural sharing is
         safe and keeps ``push`` cheap.  Indexes are derived data and are not
-        captured; :meth:`restore` marks them for lazy rebuild instead.
+        captured; :meth:`restore` drops them for lazy rebuild instead.
         """
         if self._pending:
             self._flush_pending()
@@ -338,9 +304,7 @@ class Table:
         aborted transactional batch).
 
         Hash indexes describe the abandoned state and are dropped (rebuilt
-        on demand).  Registered tries survive — their orderings are the
-        compiled rules' access plans — but are marked stale so the next
-        access reconstructs them from the restored rows.
+        on demand).
         """
         data, log_ts, log_keys, log_sorted = state
         self.data = dict(data)
@@ -349,8 +313,6 @@ class Table:
         self._log_sorted = log_sorted
         self._pending.clear()
         self._indexes.clear()
-        for trie in self._tries.values():
-            trie.stale = True
 
     def load_rows(self, entries: List[Tuple[Key, Value, int]]) -> None:
         """Bulk-install rows from a deserialized snapshot.
@@ -358,15 +320,13 @@ class Table:
         Replaces the table's contents wholesale (keys in ``entries`` order,
         which a snapshot records as the original insertion order) and
         rebuilds the write log sorted by timestamp.  Like :meth:`restore`,
-        derived indexes are invalidated rather than maintained: hash indexes
-        are dropped and registered tries marked stale for lazy rebuild.
+        it drops the hash indexes for lazy rebuild rather than maintaining
+        them.
         """
         self.data = {key: Row(value, ts) for key, value, ts in entries}
         self._compact_log()
         self._pending.clear()
         self._indexes.clear()
-        for trie in self._tries.values():
-            trie.stale = True
 
     # -- hash indexes ---------------------------------------------------------
 
@@ -393,47 +353,3 @@ class Table:
         """Single-column index view (used by tests and introspection)."""
         grouped = self.index((column,))
         return {proj[0]: keys for proj, keys in grouped.items()}
-
-    # -- trie indexes ---------------------------------------------------------
-
-    def ensure_trie(self, order: Order) -> TrieIndex:
-        """Register (or refresh) the persistent trie over ``order``.
-
-        ``order`` must be a permutation of all columns ``0 .. arity``.  The
-        first registration builds the trie from the current rows; later
-        calls are cheap no-ops unless a snapshot restore left it stale.
-        """
-        if self._pending:
-            self._flush_pending()
-        trie = self._tries.get(order)
-        if trie is None:
-            trie = TrieIndex(order)
-            trie.rebuild_from(self._stamped_rows())
-            self._tries[order] = trie
-        elif trie.stale:
-            trie.rebuild_from(self._stamped_rows())
-        return trie
-
-    def trie(self, order: Order) -> Optional[TrieIndex]:
-        """The registered trie over ``order``, or None — never builds one.
-
-        Search paths use this: an unregistered ordering (one-off queries,
-        ``check``) falls back to the ad-hoc per-execution trie instead of
-        paying for a persistent index it would use once.
-        """
-        if self._pending:
-            self._flush_pending()
-        trie = self._tries.get(order)
-        if trie is None:
-            return None
-        if trie.stale:
-            trie.rebuild_from(self._stamped_rows())
-        return trie
-
-    def trie_orders(self) -> List[Order]:
-        """The currently registered trie orderings (introspection/tests)."""
-        return list(self._tries)
-
-    def _stamped_rows(self) -> Iterator[Tuple[Tuple[Value, ...], int]]:
-        for key, row in self.data.items():
-            yield key + (row.value,), row.timestamp

@@ -7,30 +7,49 @@ intersecting the candidate values contributed by every atom that mentions the
 variable.  On cyclic or multi-pattern queries this avoids the intermediate
 blowups of pairwise joins.
 
-The tries generic join descends are *persistent* whenever possible: each
-atom is planned against its table's registered column-trie indexes
-(:mod:`repro.core.index`), which are maintained incrementally as the table
-changes — constants are resolved by descending the trie's constant prefix,
-and the semi-naïve delta atom reads a timestamp-bucket slice instead of
-filtering rows.  Atoms whose ordering has no registered index (one-off
-queries, repeated variables) fall back to the original per-execution
-nested-dict trie build.
+Generic join builds its tries per search, from the database as it stands:
+each atom's rows are filtered by its constants and repeated variables,
+projected onto its distinct variables, and inserted into a nested-dict trie
+keyed in global variable order.  The semi-naïve delta atom reads only the
+rows its table's write log stamps at or after the rule's watermark.
 
 The global variable order is structural (occurrence count, then first
-occurrence) rather than cardinality-based so that a compiled rule's index
-orderings are stable across iterations; the scheduler registers them with
-the tables up front.
+occurrence) rather than cardinality-based, so a query enumerates its
+matches in the same order on every search of the same database.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import PrimitiveRegistry
 from .database import Table
-from .index import descend_constants, plan_query
 from .query import Query, QVar, Substitution, TableAtom, apply_prims
 from .values import Value
+
+
+def structural_var_order(atoms: Iterable[TableAtom]) -> List[str]:
+    """Global variable order from query *structure* only.
+
+    Variables occurring in more atoms come first (they constrain the join
+    most), ties broken by first occurrence.  Unlike a cardinality-based
+    tie-break this is stable across iterations, so the same query
+    enumerates its matches in the same order on every search.
+    """
+    occurrence: Dict[str, int] = {}
+    first_seen: Dict[str, int] = {}
+    position = 0
+    for atom in atoms:
+        seen_here = set()
+        for col in atom.columns():
+            if isinstance(col, QVar):
+                if col.name not in first_seen:
+                    first_seen[col.name] = position
+                    position += 1
+                if col.name not in seen_here:
+                    seen_here.add(col.name)
+                    occurrence[col.name] = occurrence.get(col.name, 0) + 1
+    return sorted(occurrence, key=lambda v: (-occurrence[v], first_seen[v]))
 
 
 def _atom_rows(
@@ -102,14 +121,11 @@ def search_generic(
     query: Query,
     delta_atom: Optional[int] = None,
     since: int = 0,
-    use_indexes: bool = True,
 ) -> Iterator[Substitution]:
     """Run ``query`` with a variable-at-a-time worst-case optimal join.
 
     ``delta_atom``/``since`` implement the semi-naïve restriction: when given,
     the designated atom only contributes rows with ``timestamp >= since``.
-    ``use_indexes=False`` forces the per-execution trie build for every atom
-    (the pre-index baseline, kept for ``repro.bench`` comparisons).
     """
     atoms = query.atoms
     if not atoms:
@@ -121,9 +137,8 @@ def search_generic(
         if atom.func not in tables:
             return
 
-    plan = plan_query(query)
-    var_order = plan.var_order
-    var_rank = plan.var_rank
+    var_order = structural_var_order(atoms)
+    var_rank = {name: rank for rank, name in enumerate(var_order)}
     n_atoms = len(atoms)
 
     # The delta atom goes first: if nothing is new since the watermark, the
@@ -139,19 +154,6 @@ def search_generic(
         atom = atoms[index]
         table = tables[atom.func]
         restrict = delta_atom is not None and index == delta_atom
-        spec = plan.specs[index]
-        if use_indexes and spec is not None:
-            trie = table.trie(spec.order)
-            if trie is not None:
-                root = trie.delta_root(since) if restrict else trie.root
-                node = descend_constants(root, spec.const_values)
-                if node is None:
-                    # An empty atom (whether it has variables or is ground)
-                    # means the whole conjunction has no answers.
-                    return
-                tries[index] = node
-                atom_sorted_vars[index] = spec.var_names
-                continue
         names, rows = _project_atom(atom, _atom_rows(table, restrict, since))
         if not rows:
             return
@@ -179,11 +181,7 @@ def search_generic(
             yield from recurse(depth + 1, nodes, consumed, bindings)
             return
         smallest = min(relevant, key=lambda index: len(nodes[index]))
-        # Snapshot the iterated level: persistent tries are live structures,
-        # and a caller consuming this generator lazily may mutate the
-        # database between yields (same reason search_indexed snapshots its
-        # candidate keys).  Deeper levels pass through this same loop.
-        for value in list(nodes[smallest]):
+        for value in nodes[smallest]:
             new_nodes = list(nodes)
             new_consumed = list(consumed)
             ok = True
@@ -202,19 +200,3 @@ def search_generic(
 
     yield from recurse(0, tries, tuple(0 for _ in range(n_atoms)), {})  # type: ignore[arg-type]
 
-
-def search_generic_adhoc(
-    tables: Dict[str, Table],
-    registry: PrimitiveRegistry,
-    query: Query,
-    delta_atom: Optional[int] = None,
-    since: int = 0,
-) -> Iterator[Substitution]:
-    """Generic join that always rebuilds its tries per execution.
-
-    This is the pre-index behaviour, kept as a named strategy so the
-    benchmark harness can measure what the persistent indexes buy.
-    """
-    return search_generic(
-        tables, registry, query, delta_atom=delta_atom, since=since, use_indexes=False
-    )

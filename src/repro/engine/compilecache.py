@@ -26,8 +26,8 @@ rules — with identical queries share one plan.  For the ``indexed``
 strategy the fingerprint is that of the query's *shape*
 (:func:`~repro.core.compile.split_constants`): queries that differ only in
 their constants — every ``check`` of a session, say — share one plan and
-one generated search.  Generic-join plans resolve their constants into
-trie descents at build time and are keyed by the concrete query.
+one generated search.  Generic-join plans bake their constants into the
+per-search trie build's row filter and are keyed by the concrete query.
 
 Generated code.  The indexed search (:class:`~repro.engine.codegen
 .IndexedSearch`) and every action program render their plans as Python
@@ -80,13 +80,7 @@ class CompiledPlan:
         if strategy == "indexed":
             self.query_exec = IndexedSearch(query, slot_of, self.n_slots, n_consts, cache.code)
         elif strategy == "generic":
-            self.query_exec = CompiledGenericQuery(
-                query, slot_of, self.n_slots, use_indexes=True
-            )
-        elif strategy == "generic-adhoc":
-            self.query_exec = CompiledGenericQuery(
-                query, slot_of, self.n_slots, use_indexes=False
-            )
+            self.query_exec = CompiledGenericQuery(query, slot_of, self.n_slots)
         else:
             raise EGraphError(f"no compiled executor for strategy {strategy!r}")
 

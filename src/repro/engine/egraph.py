@@ -28,8 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..core.builtins import PrimitiveRegistry, default_registry
 from ..core.compile import MatchTuple
 from ..core.database import Table
-from ..core.genericjoin import search_generic, search_generic_adhoc
-from ..core.index import plan_query
+from ..core.genericjoin import search_generic
 from ..core.proofs import EXPLICIT, Explanation, Justification
 from ..core.query import Query, Substitution, search_indexed
 from ..core.schema import MERGE_ERROR, MERGE_UNION, FunctionDecl, RunReport
@@ -50,8 +49,8 @@ from .scheduler import Scheduler
 
 Key = Tuple[Value, ...]
 
-#: Signature shared by the search strategies (``search_generic`` takes an
-#: extra keyword, hence the permissive parameter spec).
+#: Signature shared by the search strategies: ``(tables, registry, query,
+#: delta_atom=None, since=0)``.
 SearchFn = Callable[..., Iterator[Substitution]]
 
 #: Available join strategies for query search (Section 5.1: any relational
@@ -59,23 +58,16 @@ SearchFn = Callable[..., Iterator[Substitution]]
 SEARCH_STRATEGIES: Dict[str, SearchFn] = {
     "indexed": search_indexed,
     "generic": search_generic,
-    "generic-adhoc": search_generic_adhoc,
 }
-
-#: Strategies that consume the persistent column-trie indexes; the engine
-#: registers each compiled rule's orderings with the tables for these.
-_TRIE_INDEX_STRATEGIES = frozenset({"generic"})
 
 
 class EGraph:
     """An egglog engine instance.
 
     ``strategy`` selects the join algorithm used for rule search:
-    ``"indexed"`` (index-nested-loop, the default), ``"generic"``
-    (worst-case-optimal generic join over persistent incrementally
-    maintained trie indexes, as in relational e-matching), or
-    ``"generic-adhoc"`` (generic join rebuilding its tries on every
-    execution — the pre-index baseline kept for benchmarking).
+    ``"indexed"`` (index-nested-loop, the default) or ``"generic"``
+    (worst-case-optimal generic join over tries built per search, as in
+    relational e-matching).
 
     ``proofs`` (default True) keeps a proof forest alongside the union-find
     so :meth:`explain` can answer *why* two terms are equal; disable it to
@@ -145,8 +137,6 @@ class EGraph:
 
         Compiled rule executors are cached per strategy, so switching picks
         (or builds) the matching plan — no stale cross-strategy state.
-        Switching to a trie-index strategy registers every compiled rule's
-        orderings so the next search runs on maintained indexes.
         """
         if name not in SEARCH_STRATEGIES:
             raise EGraphError(
@@ -155,12 +145,6 @@ class EGraph:
             )
         self._strategy = name
         self._search_fn = SEARCH_STRATEGIES[name]
-        #: True when rule search consumes persistent trie indexes; the
-        #: engine then registers each compiled rule's orderings up front.
-        self.uses_trie_indexes = name in _TRIE_INDEX_STRATEGIES
-        if self.uses_trie_indexes:
-            for rule in self.rules.values():
-                self.register_rule_indexes(rule)
 
     # -- compiled executors ---------------------------------------------------
 
@@ -563,24 +547,7 @@ class EGraph:
         self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
         self.rules[compiled.name] = compiled
         self.rulesets.setdefault(compiled.ruleset, []).append(compiled.name)
-        if self.uses_trie_indexes:
-            self.register_rule_indexes(compiled)
         return compiled.name
-
-    def register_rule_indexes(self, rule: CompiledRule) -> None:
-        """Register the rule's planned trie orderings with its tables.
-
-        The plan is structural (deterministic per query), so registering at
-        compile time and searching later agree on the orderings.  Atoms with
-        repeated variables have no spec and keep using the ad-hoc trie path.
-        """
-        plan = plan_query(rule.query)
-        for atom, spec in zip(rule.query.atoms, plan.specs):
-            if spec is None:
-                continue
-            table = self.tables.get(atom.func)
-            if table is not None:
-                table.ensure_trie(spec.order)
 
     def add_rules(self, *rules: Rule) -> List[str]:
         """Register several rules; returns their names."""
@@ -610,8 +577,6 @@ class EGraph:
         self._validate_symbols(compiled.query, f"rule {compiled.name!r}")
         self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
         self.rules[compiled.name] = compiled
-        if self.uses_trie_indexes:
-            self.register_rule_indexes(compiled)
         return compiled.name
 
     def add_rewrite(

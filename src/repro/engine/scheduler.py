@@ -10,7 +10,7 @@ One engine iteration has three phases, mirroring Figure 9 of the paper:
    ``since`` in the search functions) and deduplicating the union of the
    results; a match made entirely of old rows was already found in an
    earlier iteration.  A delta run whose atom has *zero* new rows since the
-   watermark is skipped outright, before any trie or index work.
+   watermark is skipped outright, before any join work.
 2. **Apply** every match's actions (``repro.engine.actions``).  The global
    timestamp is bumped first, so rows written in this phase are visible as
    "new" to every rule's next search.
@@ -28,11 +28,6 @@ tuples directly, and the apply phase hands each rule's whole match list to
 its generated action function — with every table's index maintenance
 batched until the phase ends, since nothing reads the indexes while
 actions run.
-
-When the engine's strategy consumes persistent trie indexes, the scheduler
-registers each compiled rule's column orderings with the tables up front
-(once per rule — later calls are no-ops), so the first search already runs
-on maintained indexes.
 """
 
 from __future__ import annotations
@@ -122,12 +117,6 @@ class Scheduler:
         rebuild(egraph)
         report.rebuild_time += time.perf_counter() - start
 
-        # Every ordering a rule's plan needs is registered before searching,
-        # so the join always finds maintained tries (no-op when present).
-        if egraph.uses_trie_indexes:
-            for rule in rules:
-                egraph.register_rule_indexes(rule)
-
         # Phase 1: search (all rules see the same snapshot).  Each rule runs
         # through its compiled executor: positional plans, generated search
         # and action code (``repro.engine.program``).
@@ -143,7 +132,7 @@ class Scheduler:
 
         # Phase 2: apply.  Bump the timestamp so writes from this iteration
         # are the next iteration's delta.  No search touches the indexes
-        # until the next phase, so every table defers its index/trie
+        # until the next phase, so every table defers its index
         # maintenance and flushes one net update per written key.
         egraph.timestamp += 1
         start = time.perf_counter()

@@ -14,7 +14,7 @@ A snapshot is a single JSON document capturing *everything* an
   watermarks, and rulesets in declaration order,
 * the scheduler epoch: current timestamp and update counter.
 
-Derived state — hash indexes, column tries, compiled executors, merge-fn
+Derived state — hash indexes, compiled executors, merge-fn
 caches, the push/pop stack — is deliberately *not* serialized; the engine
 rebuilds all of it lazily on first use, so a loaded engine is exactly as
 warm as the database itself.
@@ -72,6 +72,11 @@ from .errors import SnapshotError, SnapshotFormatError
 #: The current snapshot schema identifier.  Bumped only on breaking layout
 #: changes; additive changes keep the identifier (see docs/PERSISTENCE.md).
 SCHEMA = "repro.snapshot/v1"
+
+#: Strategy names that earlier writers recorded in ``meta.strategy``, mapped
+#: to the strategy that does the same work now: ``generic-adhoc`` was generic
+#: join building its tries per search, which is what ``generic`` does.
+_RENAMED_STRATEGIES = {"generic-adhoc": "generic"}
 
 #: Document sections covered by the integrity digest, in canonical order.
 _DIGESTED = ("meta", "state", "surfaces", "replay")
@@ -394,6 +399,7 @@ def engine_from_document(
     recorded_strategy = meta.get("strategy", "indexed")
     if not isinstance(recorded_strategy, str):
         raise SnapshotFormatError(f"meta.strategy must be a string, got {recorded_strategy!r}")
+    recorded_strategy = _RENAMED_STRATEGIES.get(recorded_strategy, recorded_strategy)
     try:
         engine = EngineEGraph(
             strategy=strategy if strategy is not None else recorded_strategy,
@@ -569,10 +575,6 @@ def _load_rules(engine: EngineEGraph, state: Dict[str, Any]) -> None:
         rulesets[rs_name] = [str(m) for m in members]
     rulesets.setdefault(DEFAULT_RULESET, [])
     engine.rulesets = rulesets
-
-    if engine.uses_trie_indexes:
-        for rule in engine.rules.values():
-            engine.register_rule_indexes(rule)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.bench.workloads import (
     transitive_closure,
 )
 
-TINY_VARIANTS = {"generic-index": "generic", "generic-adhoc": "generic-adhoc"}
+TINY_VARIANTS = {"indexed": "indexed", "generic": "generic"}
 
 
 def tiny_tc():
@@ -95,12 +95,12 @@ def test_run_workload_document_schema():
         assert stats["median"] in entry["runs_s"]  # an actually measured run
         assert entry["run_s"] == stats["median"]
     comparison = document["comparison"]
-    assert comparison["baseline"] == "generic-adhoc"
-    assert comparison["candidate"] == "generic-index"
+    assert comparison["baseline"] == "generic"
+    assert comparison["candidate"] == "indexed"
     assert comparison["speedup"] > 0
     # The headline comparison numbers are the medians of the repeats.
     assert comparison["baseline_run_s"] == (
-        document["variants"]["generic-adhoc"]["run_s_stats"]["median"]
+        document["variants"]["generic"]["run_s_stats"]["median"]
     )
     assert comparison["candidate_run_s_stats"]["min"] <= comparison["candidate_run_s"]
 
@@ -124,7 +124,7 @@ def test_variants_agree_on_results():
             variant: entry["table_rows"]
             for variant, entry in document["variants"].items()
         }
-        assert sizes["generic-index"] == sizes["generic-adhoc"], workload.name
+        assert sizes["indexed"] == sizes["generic"], workload.name
 
 
 def test_write_document_and_run_suite(tmp_path):
@@ -161,7 +161,7 @@ def test_cli_only_filter_writes_single_file(tmp_path, capsys):
                 "--out",
                 str(tmp_path),
                 "--variants",
-                "generic-index,generic-adhoc",
+                "indexed,generic",
             ]
         )
         == 0
@@ -233,7 +233,7 @@ def test_compare_fails_on_semantic_drift(tmp_path, capsys):
     committed, fresh = _gate_documents(tmp_path)
     path = fresh / "BENCH_tc_chain.json"
     document = json.loads(path.read_text())
-    document["variants"]["generic-index"]["matches"] += 1
+    document["variants"]["indexed"]["matches"] += 1
     path.write_text(json.dumps(document))
     assert compare_main([str(fresh), "--against", str(committed)]) == 1
     assert "matches changed" in capsys.readouterr().out
@@ -265,9 +265,9 @@ def test_compare_fails_when_committed_variant_goes_missing(tmp_path, capsys):
     committed, fresh = _gate_documents(tmp_path)
     path = fresh / "BENCH_tc_chain.json"
     document = json.loads(path.read_text())
-    # Simulate a variant rename: the committed "generic-index" vanishes
-    # from the fresh run.  The gate must not pass vacuously.
-    document["variants"]["renamed"] = document["variants"].pop("generic-index")
+    # Simulate a variant rename: the committed "indexed" vanishes from the
+    # fresh run.  The gate must not pass vacuously.
+    document["variants"]["renamed"] = document["variants"].pop("indexed")
     path.write_text(json.dumps(document))
     assert compare_main([str(fresh), "--against", str(committed)]) == 1
     assert "missing from the fresh run" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from repro.engine.actions import Delete, Expr, Let, Panic, Set, Union, run_actio
 from repro.core.query import PrimAtom, Query, QVar, TableAtom, search_indexed
 from repro.engine.rule import compile_facts
 
-STRATEGIES = ["indexed", "generic", "generic-adhoc"]
+STRATEGIES = ["indexed", "generic"]
 
 
 def tc_engine(strategy="indexed", edges=((1, 2), (2, 3), (3, 4), (1, 3))):
@@ -90,7 +90,7 @@ def test_all_strategies_agree_on_closure():
         report = eg.run(16)
         assert report.saturated
         closures.append(path_rows(eg))
-    assert closures[0] == closures[1] == closures[2]
+    assert closures[0] == closures[1]
 
 
 def test_compiled_prim_guards_and_binders():
@@ -775,7 +775,6 @@ def test_strategy_switch_mid_session_recompiles():
     eg.run(3)
     exec_indexed = eg.rule_exec(eg.rules["step"])
     eg.strategy = "generic"
-    assert eg.uses_trie_indexes
     exec_generic = eg.rule_exec(eg.rules["step"])
     assert exec_generic is not exec_indexed
     assert exec_generic.strategy == "generic"
@@ -816,7 +815,7 @@ def test_invalidation_interleavings_agree_across_strategies(ops):
     engines = [tc_engine("indexed", edges=()), tc_engine("generic", edges=())]
     depth = 0
     edited = False
-    toggle = ["indexed", "generic-adhoc"]
+    toggle = ["indexed", "generic"]
     for op in ops:
         if op[0] == "edge":
             for eg in engines:
@@ -913,13 +912,12 @@ def test_batch_insert_then_remove_is_a_net_noop():
 )
 def test_batched_and_unbatched_tables_agree(ops):
     """The same op sequence on a batched and an unbatched table must leave
-    identical rows, hash indexes, and trie contents."""
+    identical rows and hash indexes."""
     decl = FunctionDecl(name="f", arg_sorts=(I64,), out_sort=I64)
     batched, plain = Table(decl), Table(decl)
     for table in (batched, plain):
         table.index((0,))
         table.index((1,))
-        table.ensure_trie((0, 1))
     batched.begin_batch()
     for op, a, value, ts in ops:
         key = (i64(a),)
@@ -935,7 +933,6 @@ def test_batched_and_unbatched_tables_agree(ops):
     assert dict(batched.data.items()) == dict(plain.data.items())
     assert batched.index((0,)) == plain.index((0,))
     assert batched.index((1,)) == plain.index((1,))
-    assert batched.trie((0, 1)).root == plain.trie((0, 1)).root
     assert sorted(batched.new_keys(0)) == sorted(plain.new_keys(0))
 
 

@@ -52,7 +52,7 @@ def test_golden(path):
     )
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic", "generic-adhoc"])
+@pytest.mark.parametrize("strategy", ["indexed", "generic"])
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
 def test_golden_strategy_independent(path, strategy):
     """Both join strategies must produce identical program output."""

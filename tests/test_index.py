@@ -1,28 +1,23 @@
-"""Incremental index maintenance invariants (core/index.py).
+"""Incremental hash-index maintenance invariants (``Table.index``).
 
-The load-bearing property: a registered :class:`TrieIndex` maintained
-incrementally through arbitrary interleavings of insert / overwrite /
-delete / union / rebuild / push / pop must be *indistinguishable* from a
-trie built fresh from the table's rows — and its timestamp-bucket delta
-views must equal fresh tries over exactly the rows at or after the
-watermark.  Directed cases pin the mechanics; a hypothesis property drives
-random op sequences; engine-level cases cover unions, rebuilding, and
-snapshot restore through the real write paths.
+The load-bearing property: a hash index maintained incrementally through
+arbitrary interleavings of insert / overwrite / delete / batched writes /
+snapshot / restore, and through the engine's union / rebuild / push / pop,
+must be *indistinguishable* from a grouping built fresh from the table's
+rows.  A hypothesis property drives random op sequences through the Table
+API; engine-level cases cover the real write paths.  Generic join keeps no
+index of its own (it builds its tries per search), so the last cases pin
+its variable order and its agreement with the indexed join.
 """
 
 import pytest
 
 from repro.core.database import Table
-from repro.core.index import (
-    AtomIndexSpec,
-    TrieIndex,
-    descend_constants,
-    plan_query,
-)
+from repro.core.genericjoin import structural_var_order
 from repro.core.query import Query, QVar, TableAtom
 from repro.core.schema import FunctionDecl
 from repro.core.terms import App, V
-from repro.core.values import UNIT_VALUE, i64
+from repro.core.values import i64
 from repro.engine import EGraph, Rule
 from repro.engine.actions import Expr
 
@@ -31,106 +26,36 @@ def key(*nums):
     return tuple(i64(n) for n in nums)
 
 
-def fresh_trie(table, order, since=None):
-    """Reference semantics: a trie built from scratch over the live rows."""
-    reference = TrieIndex(order)
-    reference.rebuild_from(
-        (k + (row.value,), row.timestamp)
-        for k, row in table.data.items()
-        if since is None or row.timestamp >= since
+def fresh_grouping(table, columns):
+    """Reference semantics: the projection grouping built from live rows."""
+    expected = {}
+    for k, row in table.data.items():
+        expected.setdefault(table._project(columns, k, row.value), set()).add(k)
+    return expected
+
+
+def assert_index_exact(index, table, columns):
+    assert {proj: set(keys) for proj, keys in index.items()} == fresh_grouping(
+        table, columns
     )
-    return reference.root
 
 
-def assert_index_matches(table, order, timestamps=(0, 1, 2, 3)):
-    trie = table.trie(order)
-    assert trie is not None
-    assert trie.root == fresh_trie(table, order)
-    for since in timestamps:
-        assert trie.delta_root(since) == fresh_trie(table, order, since=since)
-
-
-# ---------------------------------------------------------------------------
-# Directed TrieIndex cases
-# ---------------------------------------------------------------------------
-
-
-def make_table(name="f", arity=2, out="i64"):
-    return Table(FunctionDecl(name, tuple("i64" for _ in range(arity)), out))
-
-
-def test_trie_insert_remove_prunes_empty_nodes():
-    trie = TrieIndex((0, 1, 2))
-    trie.insert(key(1, 2, 10), 0)
-    trie.insert(key(1, 3, 10), 0)
-    assert trie.root == {i64(1): {i64(2): {i64(10): True}, i64(3): {i64(10): True}}}
-    trie.remove(key(1, 2, 10), 0)
-    assert trie.root == {i64(1): {i64(3): {i64(10): True}}}
-    trie.remove(key(1, 3, 10), 0)
-    assert trie.root == {} and trie.buckets == {}
-
-
-def test_trie_overwrite_moves_between_buckets():
-    table = make_table()
-    table.ensure_trie((0, 1, 2))
-    table.put(key(1, 2), i64(10), 0)
-    table.put(key(3, 4), i64(30), 1)
-    # Overwrite re-stamps the row: it must leave bucket 0 and join bucket 2.
-    table.put(key(1, 2), i64(20), 2)
-    trie = table.trie((0, 1, 2))
-    assert sorted(trie.buckets) == [1, 2]
-    assert_index_matches(table, (0, 1, 2))
-    assert trie.delta_root(2) == {i64(1): {i64(2): {i64(20): True}}}
-
-
-def test_trie_delta_merges_multiple_buckets():
-    table = make_table()
-    table.ensure_trie((1, 0, 2))
-    for ts, (a, b) in enumerate([(1, 2), (2, 3), (1, 3), (4, 2)]):
-        table.put(key(a, b), UNIT_VALUE, ts)
-    assert_index_matches(table, (1, 0, 2), timestamps=(0, 1, 2, 3, 4))
-
-
-def test_ensure_trie_builds_from_existing_rows_and_is_idempotent():
-    table = make_table()
-    table.put(key(1, 2), UNIT_VALUE, 0)
-    trie = table.ensure_trie((0, 1, 2))
-    assert trie.root == fresh_trie(table, (0, 1, 2))
-    assert table.ensure_trie((0, 1, 2)) is trie
-    assert table.trie((1, 0, 2)) is None  # never builds implicitly
-
-
-def test_restore_marks_tries_stale_and_they_self_heal():
-    table = make_table()
-    table.put(key(1, 2), UNIT_VALUE, 0)
-    table.ensure_trie((0, 1, 2))
-    snapshot = table.snapshot()
-    table.put(key(3, 4), UNIT_VALUE, 1)
-    table.remove(key(1, 2))
-    table.restore(snapshot)
-    trie = table.trie((0, 1, 2))
-    assert not trie.stale
-    assert trie.root == {i64(1): {i64(2): {UNIT_VALUE: True}}}
-    assert_index_matches(table, (0, 1, 2))
-
-
-def test_descend_constants_views():
-    trie = TrieIndex((0, 1, 2))
-    trie.insert(key(1, 2, 10), 0)
-    node = descend_constants(trie.root, (i64(1),))
-    assert node == {i64(2): {i64(10): True}}
-    assert descend_constants(trie.root, (i64(9),)) is None
-    # Fully-constant atoms yield a non-empty marker, or None when absent.
-    assert descend_constants(trie.root, (i64(1), i64(2), i64(10)))
-    assert descend_constants(trie.root, (i64(1), i64(2), i64(99))) is None
+def assert_all_indexes_match(egraph):
+    """Every index the engine has built is exact; at least one exists."""
+    built = 0
+    for table in egraph.tables.values():
+        for columns in list(table._indexes):
+            assert_index_exact(table.index(columns), table, columns)
+            built += 1
+    assert built, "the engine built no hash index; the check would be vacuous"
 
 
 # ---------------------------------------------------------------------------
-# Query planning
+# Generic join: structural variable order
 # ---------------------------------------------------------------------------
 
 
-def test_plan_query_is_structural_and_deterministic():
+def test_structural_var_order_is_deterministic():
     x, y, z = QVar("x"), QVar("y"), QVar("z")
     query = Query(
         atoms=[
@@ -138,23 +63,8 @@ def test_plan_query_is_structural_and_deterministic():
             TableAtom("edge", (y, z), QVar("o2")),
         ]
     )
-    plan = plan_query(query)
     # y occurs twice -> first; ties broken by first occurrence.
-    assert plan.var_order == ("y", "x", "o1", "z", "o2")
-    assert plan.specs[0] == AtomIndexSpec(order=(1, 0, 2), const_values=(), var_names=("y", "x", "o1"))
-    assert plan.specs[1] == AtomIndexSpec(order=(0, 1, 2), const_values=(), var_names=("y", "z", "o2"))
-    assert plan_query(query) == plan  # same structure, same plan
-
-
-def test_plan_atom_constants_first_and_repeated_vars_fall_back():
-    x = QVar("x")
-    query = Query(atoms=[TableAtom("edge", (i64(7), x), QVar("o"))])
-    plan = plan_query(query)
-    assert plan.specs[0].order == (0, 1, 2)
-    assert plan.specs[0].const_values == (i64(7),)
-    # Repeated variable: no index spec, the ad-hoc path handles equality.
-    loop = Query(atoms=[TableAtom("edge", (x, x), QVar("o"))])
-    assert plan_query(loop).specs[0] is None
+    assert structural_var_order(query.atoms) == ["y", "x", "o1", "z", "o2"]
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +72,8 @@ def test_plan_atom_constants_first_and_repeated_vars_fall_back():
 # ---------------------------------------------------------------------------
 
 
-def tc_engine():
-    egraph = EGraph(strategy="generic")
+def tc_engine(strategy="indexed"):
+    egraph = EGraph(strategy=strategy)
     egraph.relation("edge", ("i64", "i64"))
     egraph.relation("path", ("i64", "i64"))
     egraph.add_rules(
@@ -181,25 +91,10 @@ def tc_engine():
     return egraph
 
 
-def assert_all_indexes_match(egraph):
-    for table in egraph.tables.values():
-        for order in table.trie_orders():
-            assert_index_matches(
-                table, order, timestamps=range(egraph.timestamp + 2)
-            )
-
-
-def test_rule_registration_creates_planned_orderings():
-    egraph = tc_engine()
-    assert (0, 1, 2) in egraph.tables["edge"].trie_orders()
-    assert (1, 0, 2) in egraph.tables["path"].trie_orders()
-
-
 def test_indexes_survive_run_union_rebuild_pushpop_interleaving():
     egraph = tc_engine()
     for a, b in [(1, 2), (2, 3), (3, 4)]:
         egraph.add(App("edge", a, b))
-    assert_all_indexes_match(egraph)
     egraph.run(10)
     assert_all_indexes_match(egraph)
 
@@ -208,16 +103,17 @@ def test_indexes_survive_run_union_rebuild_pushpop_interleaving():
     egraph.run(10)
     assert_all_indexes_match(egraph)
     egraph.pop()
-    # Restored state: stale tries must self-heal to the pre-push rows.
-    assert_all_indexes_match(egraph)
+    # Restore drops the indexes; the next run rebuilds them from the
+    # pre-push rows and maintains them from there.
     assert len(egraph.tables["edge"]) == 3
-
+    egraph.add(App("edge", 4, 6))
     egraph.run(10)
     assert_all_indexes_match(egraph)
+    assert (i64(1), i64(6)) in egraph.tables["path"]
 
 
 def test_indexes_follow_canonicalization_during_rebuild():
-    egraph = EGraph(strategy="generic")
+    egraph = EGraph(strategy="indexed")
     egraph.declare_sort("V")
     egraph.constructor("Leaf", ("i64",), "V")
     egraph.constructor("F", ("V",), "V")
@@ -227,9 +123,8 @@ def test_indexes_follow_canonicalization_during_rebuild():
     a = egraph.add(App("F", App("Leaf", 1)))
     b = egraph.add(App("F", App("Leaf", 2)))
     egraph.run(1)
-    assert_all_indexes_match(egraph)
-    # Union the leaves: rebuild rewrites F-rows to canonical ids; the
-    # maintained tries must track every remove/re-insert it performs.
+    # Union the leaves: rebuild rewrites F-rows to canonical ids through
+    # its hash-index probes; the indexes must track every remove/re-insert.
     egraph.union(App("Leaf", 1), App("Leaf", 2))
     egraph.rebuild()
     assert egraph.canonicalize(a) == egraph.canonicalize(b)
@@ -238,31 +133,18 @@ def test_indexes_follow_canonicalization_during_rebuild():
     assert_all_indexes_match(egraph)
 
 
-def test_generic_and_adhoc_agree_after_runs():
+def test_generic_and_indexed_agree_after_runs():
     results = {}
-    for strategy in ("generic", "generic-adhoc", "indexed"):
-        egraph = EGraph(strategy=strategy)
-        egraph.relation("edge", ("i64", "i64"))
-        egraph.relation("path", ("i64", "i64"))
-        egraph.add_rules(
-            Rule(
-                facts=[App("edge", V("x"), V("y"))],
-                actions=[Expr(App("path", V("x"), V("y")))],
-                name="base",
-            ),
-            Rule(
-                facts=[App("path", V("x"), V("y")), App("edge", V("y"), V("z"))],
-                actions=[Expr(App("path", V("x"), V("z")))],
-                name="step",
-            ),
-        )
+    for strategy in ("generic", "indexed"):
+        egraph = tc_engine(strategy)
         for a, b in [(1, 2), (2, 3), (3, 1), (3, 4)]:
             egraph.add(App("edge", a, b))
         egraph.run(12)
         results[strategy] = sorted(
             (k[0].data, k[1].data) for k, _v in egraph.table_rows("path")
         )
-    assert results["generic"] == results["generic-adhoc"] == results["indexed"]
+    assert results["generic"] == results["indexed"]
+    assert len(results["indexed"]) == 12  # 1, 2, 3 reach all of 1..4
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +154,9 @@ def test_generic_and_adhoc_agree_after_runs():
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-ORDERS = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
+#: An argument-only projection (overwrites skip it), an argument+output
+#: projection, and an output-only one.
+COLUMN_SETS = [(0,), (1, 2), (2,)]
 
 
 @st.composite
@@ -280,27 +164,34 @@ def op_sequences(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["put", "remove", "snapshot", "restore"]),
-                st.integers(0, 3),  # first arg
-                st.integers(0, 3),  # second arg
+                st.sampled_from(
+                    ["put", "remove", "snapshot", "restore", "begin", "end", "check"]
+                ),
+                # Few distinct keys, so writes often hit a live row.
+                st.integers(0, 2),  # first arg
+                st.integers(0, 1),  # second arg
                 st.integers(0, 4),  # value / timestamp salt
             ),
             min_size=1,
-            max_size=25,
+            max_size=30,
         )
     )
     return ops
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(ops=op_sequences())
 def test_random_op_interleavings_keep_indexes_exact(ops):
     table = Table(FunctionDecl("f", ("i64", "i64"), "i64"))
-    for order in ORDERS:
-        table.ensure_trie(order)
-    hash_index = table.index((0,))
+    # Start from live rows, so removes and overwrites hit indexed keys.
+    for a in range(3):
+        for b in range(2):
+            table.put(key(a, b), i64(a), 0)
+    for columns in COLUMN_SETS:
+        table.index(columns)
     saved = None
     timestamp = 0
+    depth = 0
     for op, a, b, salt in ops:
         if op == "put":
             timestamp += salt % 2  # non-decreasing, sometimes repeating
@@ -311,11 +202,24 @@ def test_random_op_interleavings_keep_indexes_exact(ops):
             saved = table.snapshot()
         elif op == "restore" and saved is not None:
             table.restore(saved)
-            hash_index = table.index((0,))  # dropped by restore; rebuild
-    for order in ORDERS:
-        assert_index_matches(table, order, timestamps=range(timestamp + 2))
-    # The hash index must agree with a from-scratch grouping too.
-    expected = {}
-    for k, _row in table.data.items():
-        expected.setdefault((k[0],), set()).add(k)
-    assert {proj: set(keys) for proj, keys in hash_index.items()} == expected
+            # Restore drops the indexes; request them again so the rest
+            # of the sequence exercises their maintenance.
+            for columns in COLUMN_SETS:
+                table.index(columns)
+        elif op == "begin":
+            table.begin_batch()
+            depth += 1
+        elif op == "end" and depth:
+            table.end_batch()
+            depth -= 1
+        elif op == "check":
+            # An index read inside a batch flushes pending maintenance first.
+            for columns in COLUMN_SETS:
+                assert_index_exact(table.index(columns), table, columns)
+    for _ in range(depth):
+        table.end_batch()
+    # Closing the outermost batch must have flushed everything: read the
+    # maintained indexes directly, without the flush ``index`` performs.
+    assert not table._pending
+    for columns in COLUMN_SETS:
+        assert_index_exact(table._indexes[columns], table, columns)

@@ -21,7 +21,7 @@ from repro.core.unionfind import UnionFind
 from repro.engine import EGraph, EGraphError, Rule, Set, rewrite
 from repro.engine.actions import Union as UnionAction
 
-STRATEGIES = ("indexed", "generic", "generic-adhoc")
+STRATEGIES = ("indexed", "generic")
 
 
 def check_explanation(egraph, explanation):
