@@ -61,6 +61,10 @@ class EvalError(FrontendError):
     """A well-formed command that fails against the engine's declarations."""
 
 
+class CheckFailedError(EvalError):
+    """A ``check`` whose facts have no match."""
+
+
 class ArityError(EvalError):
     """An application with the wrong number of arguments for its function."""
 

@@ -1,12 +1,13 @@
-"""Evaluator: lowers parsed .egg commands onto the :class:`EGraph` engine.
+"""Evaluator: the one executor of parsed commands on the :class:`EGraph`.
 
-The evaluator owns the pieces the parser cannot know: the engine's
-declarations.  It lowers raw s-expressions into engine terms (checking
-arities, sorts, and symbol bindings with source locations), maintains the
-global ``let`` environment, mirrors the engine's ``push``/``pop`` stack for
-that environment, and captures the deterministic output lines that
-``run``/``check``/``extract``/``query-extract`` produce — the text the
-golden-file tests diff.
+``.egg`` programs and JSON session programs (:mod:`repro.session.program`
+decodes its ops into the same commands) both run here.  The evaluator owns
+the pieces the parser cannot know: the engine's declarations.  It lowers raw
+s-expressions into engine terms (checking arities, sorts, and symbol
+bindings with source locations), maintains the global ``let`` environment,
+mirrors the engine's ``push``/``pop`` stack for that environment, and
+returns a :class:`Result` per command, capturing its deterministic output
+lines — the text the golden-file tests diff.
 
 Binding rules, following the paper's language:
 
@@ -19,8 +20,10 @@ Binding rules, following the paper's language:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.proofs import Explanation
 from ..core.schema import RunReport
 from ..core.terms import Term, TermApp, TermLit, TermVar
 from ..core.values import Value, coerce_literal
@@ -31,6 +34,7 @@ from ..engine.rule import EqFact, Fact
 from ..engine.schedule import Repeat, Run, Saturate, Schedule, Seq
 from .errors import (
     ArityError,
+    CheckFailedError,
     EvalError,
     Loc,
     SortError,
@@ -39,6 +43,7 @@ from .errors import (
 )
 from ..serialize import SnapshotError
 from ..serialize.encode import decode_values, encode_values
+from ..serialize.snapshot import merge_from_term
 from ..testing.faults import trip
 from .parser import (
     CheckCmd,
@@ -68,6 +73,105 @@ from .parser import (
 from .printer import format_fact, format_term
 from .sexp import Literal, Sexp, SList, Symbol
 
+# -- results: what a command did; its ``.egg`` output is a view of it ---------
+#
+# ``Evaluator.execute`` returns one Result per command.  The ``.egg`` surface
+# prints ``Result.lines()``; JSON programs (``repro.session.program``)
+# encode the same objects in their wire shapes.
+
+
+@dataclass(frozen=True)
+class Result:
+    """A command with nothing to report (declarations, set, push, ...)."""
+
+    def lines(self) -> List[str]:
+        return []
+
+
+DONE = Result()
+
+
+@dataclass(frozen=True)
+class Printed(Result):
+    """Output only: ``query-extract``, ``save`` and ``load``."""
+
+    text: Tuple[str, ...]
+
+    def lines(self) -> List[str]:
+        return list(self.text)
+
+
+@dataclass(frozen=True)
+class Rules(Result):
+    """The names of the rules a ``rule``/``rewrite``/``birewrite`` added."""
+
+    names: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Valued(Result):
+    """The value a ``let``, ``union`` or top-level fact denotes."""
+
+    value: Value
+
+
+@dataclass(frozen=True)
+class Ran(Result):
+    """The report of a ``run`` or (``schedule``) a ``run-schedule``."""
+
+    report: RunReport
+    schedule: bool = False
+
+    def lines(self) -> List[str]:
+        report = self.report
+        if self.schedule:
+            status = "saturated" if report.saturated else "done"
+        elif report.stopped_reason:
+            status = f"stopped: {report.stopped_reason}"
+        else:
+            status = "saturated" if report.saturated else "iteration limit"
+        head = "run-schedule" if self.schedule else "run"
+        counts = f"{report.iterations} iteration(s), {report.num_matches} match(es)"
+        return [f"{head}: {counts}, {status}"]
+
+
+@dataclass(frozen=True)
+class Checked(Result):
+    """A ``check`` that matched ``count`` times (a failed one raises)."""
+
+    count: int
+
+    def lines(self) -> List[str]:
+        return [f"check: ok ({self.count} match(es))"]
+
+
+@dataclass(frozen=True)
+class Extracted(Result):
+    """The cheapest term of an ``extract``'s e-class, and its cost."""
+
+    cost: int
+    term: Term
+
+    def lines(self) -> List[str]:
+        return [f"extract: {format_term(self.term)} (cost {self.cost})"]
+
+
+@dataclass(frozen=True)
+class Explained(Result):
+    """The proof chain of ``(explain lhs rhs)``, one line per step."""
+
+    lhs: Term
+    rhs: Term
+    explanation: Explanation
+
+    def lines(self) -> List[str]:
+        steps = self.explanation.steps
+        head = f"explain: {format_term(self.lhs)} = {format_term(self.rhs)}: {len(steps)} step(s)"
+        return [head] + [
+            f"  {index}. {step.justification.describe()}"
+            for index, step in enumerate(steps, start=1)
+        ]
+
 
 class Evaluator:
     """Executes parsed .egg commands against one engine instance."""
@@ -84,7 +188,7 @@ class Evaluator:
         self._globals_stack: List[Dict[str, Value]] = []
         #: Ambient run budgets applied to ``run``/``run-schedule`` commands
         #: that do not carry their own — the session service sets these to
-        #: enforce per-request deadlines over the ``.egg`` surface.
+        #: enforce per-request deadlines on ``.egg`` and JSON batches.
         self.default_deadline_s: Optional[float] = None
         self.default_max_nodes: Optional[int] = None
         self._sink = sink
@@ -113,20 +217,29 @@ class Evaluator:
             self.filename = previous
         return self.lines[start:]
 
-    def execute(self, command: Command) -> None:
-        """Execute one command, translating engine errors to located ones."""
+    def execute(self, command: Command) -> Result:
+        """Execute one command: emit its ``.egg`` lines, return its result.
+
+        Handlers with nothing to report return ``None`` (:data:`DONE`).
+        Engine errors are translated to located ones; a ``check`` without
+        matches raises :class:`CheckFailedError`.
+        """
         handler = self._HANDLERS.get(type(command))
         if handler is None:  # pragma: no cover - parser emits only known commands
             raise EvalError(f"no handler for {command!r}", command.loc, self.filename)
         try:
-            handler(self, command)
+            result = handler(self, command) or DONE
         except EGraphError as error:
             raise EvalError(str(error), command.loc, self.filename) from error
+        for line in result.lines():
+            self.lines.append(line)
+            if self._sink is not None:
+                self._sink(line)
+        return result
 
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-        if self._sink is not None:
-            self._sink(line)
+    def stats(self) -> Dict[str, object]:
+        """Engine size statistics (the JSON ``stats`` op)."""
+        return self.egraph.stats()
 
     # -- lowering: s-expressions to terms -------------------------------------
 
@@ -274,14 +387,14 @@ class Evaluator:
             raise EvalError(f"expected {what}, got {sexp}", sexp.loc, self.filename)
         return sexp.name
 
-    def _check_sorts(self, sorts: Sequence[str], loc: Loc) -> None:
+    def _check_sorts(self, sorts: Sequence[str], loc: Optional[Loc]) -> None:
         for name in sorts:
             if name not in self.egraph.sorts:
                 raise SortError(f"undeclared sort {name!r}", loc, self.filename)
 
     # -- merge / default expressions ------------------------------------------
 
-    def _lower_merge(self, sexp: Sexp) -> Callable[[Value, Value], Value]:
+    def _lower_merge(self, sexp: Sexp) -> object:
         """Compile a ``:merge`` expression over ``old``/``new`` into a callable."""
         # ``old``/``new`` are reserved here: a global of the same name must
         # not be inlined in their place, so mask the globals while lowering.
@@ -295,15 +408,7 @@ class Evaluator:
         self._require_primitive_term(
             term, sexp, allowed_vars=("old", "new"), context=":merge"
         )
-        egraph = self.egraph
-
-        def merge_fn(old: Value, new: Value) -> Value:
-            return egraph.eval_term(term, {"old": old, "new": new})
-
-        # The lowered term rides on the closure so snapshots can serialize
-        # the merge as an expression and reconstruct it on load.
-        merge_fn.__repro_term__ = term  # type: ignore[attr-defined]
-        return merge_fn
+        return merge_from_term(self.egraph, term)
 
     def _lower_default(self, sexp: Sexp, out_sort: str) -> Value:
         """Evaluate a ``:default`` expression (ground, primitives only)."""
@@ -350,7 +455,8 @@ class Evaluator:
         self.egraph.declare_sort(cmd.name)
 
     def _do_datatype(self, cmd: DatatypeCmd) -> None:
-        self.egraph.declare_sort(cmd.name)
+        if not cmd.extends:
+            self.egraph.declare_sort(cmd.name)
         for variant in cmd.variants:
             self._check_sorts(variant.arg_sorts, variant.loc)
             self.egraph.constructor(
@@ -359,7 +465,9 @@ class Evaluator:
 
     def _do_function(self, cmd: FunctionCmd) -> None:
         self._check_sorts(cmd.arg_sorts + (cmd.out_sort,), cmd.loc)
-        merge = self._lower_merge(cmd.merge) if cmd.merge is not None else None
+        merge = cmd.merge
+        if isinstance(merge, Sexp):
+            merge = self._lower_merge(merge)
         default = (
             self._lower_default(cmd.default, cmd.out_sort)
             if cmd.default is not None
@@ -379,21 +487,22 @@ class Evaluator:
         self._check_sorts(cmd.arg_sorts, cmd.loc)
         self.egraph.relation(cmd.name, cmd.arg_sorts)
 
-    def _do_rule(self, cmd: RuleCmd) -> None:
+    def _do_rule(self, cmd: RuleCmd) -> Result:
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
         actions = [self._lower_action(sexp, pattern=True) for sexp in cmd.actions]
-        self.egraph.add_rule(
+        name = self.egraph.add_rule(
             Rule(facts=facts, actions=actions, name=cmd.name, ruleset=cmd.ruleset)
         )
+        return Rules((name,))
 
-    def _do_rewrite(self, cmd: RewriteCmd) -> None:
+    def _do_rewrite(self, cmd: RewriteCmd) -> Result:
         lhs = self._lower_expr(cmd.lhs, pattern=True)
         rhs = self._lower_expr(cmd.rhs, pattern=True)
         conditions = [self._lower_fact(sexp) for sexp in cmd.conditions]
         self._check_rewrite_vars(lhs, rhs, conditions, cmd)
         if cmd.bidirectional:
             self._check_rewrite_vars(rhs, lhs, conditions, cmd)
-        self.egraph.add_rewrite(
+        names = self.egraph.add_rewrite(
             lhs,
             rhs,
             conditions=conditions,
@@ -401,6 +510,7 @@ class Evaluator:
             ruleset=cmd.ruleset,
             bidirectional=cmd.bidirectional,
         )
+        return Rules(tuple(names))
 
     def _check_rewrite_vars(
         self, lhs: Term, rhs: Term, conditions: List[Fact], cmd: RewriteCmd
@@ -420,19 +530,18 @@ class Evaluator:
                 self.filename,
             )
 
-    def _do_let(self, cmd: LetCmd) -> None:
+    def _do_let(self, cmd: LetCmd) -> Result:
         if cmd.name in self.globals:
             raise EvalError(
                 f"global {cmd.name!r} is already bound", cmd.loc, self.filename
             )
         term = self._lower_expr(cmd.expr, pattern=False)
-        self.globals[cmd.name] = self.egraph.add(term)
+        value = self.globals[cmd.name] = self.egraph.add(term)
+        return Valued(value)
 
-    def _do_union(self, cmd: UnionCmd) -> None:
-        self.egraph.union(
-            self._lower_expr(cmd.lhs, pattern=False),
-            self._lower_expr(cmd.rhs, pattern=False),
-        )
+    def _do_union(self, cmd: UnionCmd) -> Result:
+        lhs, rhs = (self._lower_expr(side, pattern=False) for side in (cmd.lhs, cmd.rhs))
+        return Valued(self.egraph.union(lhs, rhs))
 
     def _do_set(self, cmd: SetCmd) -> None:
         target = self._lower_target(cmd.call, pattern=False)
@@ -445,56 +554,36 @@ class Evaluator:
         action = Delete(self._lower_target(cmd.call, pattern=False))
         run_actions(self.egraph, [action], {})
 
-    def _do_top_action(self, cmd: TopAction) -> None:
+    def _do_top_action(self, cmd: TopAction) -> Result:
+        """A ground application asserted as a fact: insert it, return its value."""
         head = cmd.sexp.items[0]
         assert isinstance(head, Symbol)
         if head.name not in self.egraph.decls and head.name not in self.egraph.registry:
             raise UnknownCommandError(
-                f"unknown command or function {head.name!r}", head.loc, self.filename
+                f"unknown function or primitive {head.name!r}", head.loc, self.filename
             )
-        action = self._lower_action(cmd.sexp, pattern=False)
-        run_actions(self.egraph, [action], {})
+        return Valued(self.egraph.add(self._lower_call(cmd.sexp, pattern=False)))
 
-    def _do_run(self, cmd: RunCmd) -> None:
-        report = self.egraph.run(
-            cmd.limit,
-            ruleset=cmd.ruleset,
-            deadline_s=(
-                cmd.deadline_ms / 1000.0
-                if cmd.deadline_ms is not None
-                else self.default_deadline_s
-            ),
-            max_nodes=(
-                cmd.max_nodes if cmd.max_nodes is not None else self.default_max_nodes
-            ),
-        )
+    def _budgets(self, cmd: "RunCmd | RunScheduleCmd") -> Dict[str, object]:
+        """A run's budgets: the command's own, else the ambient defaults."""
+        deadline_ms, max_nodes = cmd.deadline_ms, cmd.max_nodes
+        return {
+            "deadline_s": self.default_deadline_s if deadline_ms is None else deadline_ms / 1000.0,
+            "max_nodes": self.default_max_nodes if max_nodes is None else max_nodes,
+        }
+
+    def _do_run(self, cmd: RunCmd) -> Result:
+        report = self.egraph.run(cmd.limit, ruleset=cmd.ruleset, **self._budgets(cmd))
         self.report.merge_with(report)
-        if report.stopped_reason:
-            status = f"stopped: {report.stopped_reason}"
-        elif report.saturated:
-            status = "saturated"
-        else:
-            status = "iteration limit"
-        self.emit(
-            f"run: {report.iterations} iteration(s), "
-            f"{report.num_matches} match(es), {status}"
-        )
+        return Ran(report)
 
     # -- run-schedule ---------------------------------------------------------
 
-    def _do_run_schedule(self, cmd: RunScheduleCmd) -> None:
+    def _do_run_schedule(self, cmd: RunScheduleCmd) -> Result:
         schedules = tuple(self._lower_schedule(sexp) for sexp in cmd.schedules)
-        report = self.egraph.run_schedule(
-            *schedules,
-            deadline_s=self.default_deadline_s,
-            max_nodes=self.default_max_nodes,
-        )
+        report = self.egraph.run_schedule(*schedules, **self._budgets(cmd))
         self.report.merge_with(report)
-        status = "saturated" if report.saturated else "done"
-        self.emit(
-            f"run-schedule: {report.iterations} iteration(s), "
-            f"{report.num_matches} match(es), {status}"
-        )
+        return Ran(report, schedule=True)
 
     def _lower_schedule(self, sexp: Sexp) -> Schedule:
         """Lower a schedule s-expression into engine combinators.
@@ -568,29 +657,29 @@ class Evaluator:
             raise EvalError(f"{what} must be positive, got {count}", sexp.loc, self.filename)
         return count
 
-    def _check_ruleset(self, name: str, loc: Loc) -> None:
+    def _check_ruleset(self, name: str, loc: Optional[Loc]) -> None:
         if name not in self.egraph.rulesets:
             raise EvalError(f"unknown ruleset {name!r}", loc, self.filename)
 
-    def _do_check(self, cmd: CheckCmd) -> None:
+    def _do_check(self, cmd: CheckCmd) -> Result:
         self.egraph.rebuild()  # globals must be inlined at canonical ids
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
         try:
             count = self.egraph.check(*facts)
         except CheckError:
             rendered = " ".join(format_fact(fact) for fact in facts)
-            raise EvalError(
+            raise CheckFailedError(
                 f"check failed: no matches for {rendered}", cmd.loc, self.filename
             ) from None
-        self.emit(f"check: ok ({count} match(es))")
+        return Checked(count)
 
-    def _do_extract(self, cmd: ExtractCmd) -> None:
+    def _do_extract(self, cmd: ExtractCmd) -> Result:
         self.egraph.rebuild()
         term = self._lower_expr(cmd.expr, pattern=False)
         cost, best = self.egraph.extract_with_cost(term)
-        self.emit(f"extract: {format_term(best)} (cost {cost})")
+        return Extracted(cost, best)
 
-    def _do_query_extract(self, cmd: QueryExtractCmd) -> None:
+    def _do_query_extract(self, cmd: QueryExtractCmd) -> Result:
         self.egraph.rebuild()
         expr = self._lower_expr(cmd.expr, pattern=True)
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
@@ -602,27 +691,15 @@ class Evaluator:
                 continue
             _cost, best = self.egraph.extract_with_cost(value)
             results.add(format_term(best))
-        self.emit(f"query-extract: {len(results)} result(s)")
-        for line in sorted(results):
-            self.emit(f"  {line}")
+        lines = [f"  {line}" for line in sorted(results)]
+        return Printed((f"query-extract: {len(results)} result(s)", *lines))
 
-    def _do_explain(self, cmd: ExplainCmd) -> None:
-        """Print the proof chain for ``(explain <e1> <e2>)``.
-
-        One line per step naming its justification (``rule <name>``,
-        ``congruence <func>``, or ``union``); terms hash-consed to the same
-        e-node print a zero-step reflexive chain.
-        """
+    def _do_explain(self, cmd: ExplainCmd) -> Result:
+        """The proof chain for ``(explain <e1> <e2>)``."""
         self.egraph.rebuild()
         lhs = self._lower_expr(cmd.lhs, pattern=False)
         rhs = self._lower_expr(cmd.rhs, pattern=False)
-        explanation = self.egraph.explain(lhs, rhs)
-        self.emit(
-            f"explain: {format_term(lhs)} = {format_term(rhs)}: "
-            f"{len(explanation.steps)} step(s)"
-        )
-        for index, step in enumerate(explanation.steps, start=1):
-            self.emit(f"  {index}. {step.justification.describe()}")
+        return Explained(lhs, rhs, self.egraph.explain(lhs, rhs))
 
     def _do_push(self, cmd: PushCmd) -> None:
         for _ in range(cmd.count):
@@ -683,19 +760,19 @@ class Evaluator:
         self.globals = decode_values(egg.get("globals", []), "egg globals")
         self._globals_stack.clear()
 
-    def _do_save(self, cmd: SaveCmd) -> None:
+    def _do_save(self, cmd: SaveCmd) -> Result:
         try:
             self.save_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:
             raise EvalError(f"save failed: {error}", cmd.loc, self.filename) from error
-        self.emit(f"save: {cmd.path}")
+        return Printed((f"save: {cmd.path}",))
 
-    def _do_load(self, cmd: LoadCmd) -> None:
+    def _do_load(self, cmd: LoadCmd) -> Result:
         try:
             self.load_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:
             raise EvalError(f"load failed: {error}", cmd.loc, self.filename) from error
-        self.emit(f"load: {cmd.path}")
+        return Printed((f"load: {cmd.path}",))
 
     _HANDLERS = {
         SortCmd: _do_sort,

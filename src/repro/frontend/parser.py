@@ -12,7 +12,7 @@ facts like ``(edge 1 2)`` can be asserted directly, as in egglog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import Loc, ParseError
 from .sexp import Literal, Sexp, SList, Symbol, parse_sexps
@@ -20,9 +20,9 @@ from .sexp import Literal, Sexp, SList, Symbol, parse_sexps
 
 @dataclass(frozen=True)
 class Command:
-    """Base class for parsed commands; every command knows its location."""
+    """Base class for commands; ``loc`` is ``None`` if decoded from JSON."""
 
-    loc: Loc
+    loc: Optional[Loc]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class SortCmd(Command):
 class Variant:
     """One constructor inside a ``datatype`` declaration."""
 
-    loc: Loc
+    loc: Optional[Loc]
     name: str
     arg_sorts: Tuple[str, ...]
     cost: int = 1
@@ -44,6 +44,8 @@ class Variant:
 class DatatypeCmd(Command):
     name: str
     variants: Tuple[Variant, ...]
+    #: Set by the JSON ``constructor`` op: the variants join a declared sort.
+    extends: bool = False
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ class FunctionCmd(Command):
     name: str
     arg_sorts: Tuple[str, ...]
     out_sort: str
-    merge: Optional[Sexp] = None
+    #: A ``:merge`` expression, or an engine merge's name (JSON programs).
+    merge: Union[Sexp, str, None] = None
     default: Optional[Sexp] = None
     cost: int = 1
     unextractable: bool = False
@@ -124,10 +127,13 @@ class RunScheduleCmd(Command):
 
     Schedules nest arbitrarily (``saturate``/``seq``/``repeat``/``run`` and
     bare ruleset names); lowering them needs the engine's rulesets, so the
-    parser keeps them raw and the evaluator interprets.
+    parser keeps them raw and the evaluator interprets.  Only JSON programs
+    set the budgets, which mean what :class:`RunCmd`'s do.
     """
 
     schedules: Tuple[Sexp, ...]
+    deadline_ms: Optional[int] = None
+    max_nodes: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from .errors import Loc, ParseError
 
 @dataclass(frozen=True)
 class Sexp:
-    """Base class for s-expression nodes; every node knows its location."""
+    """Base class for s-expression nodes; ``loc`` is ``None`` if built from JSON."""
 
-    loc: Loc
+    loc: Optional[Loc]
 
 
 @dataclass(frozen=True)

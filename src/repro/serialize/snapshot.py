@@ -229,8 +229,9 @@ def _decode_merge(engine: EngineEGraph, name: str, obj: Json) -> object:
 def merge_from_term(engine: EngineEGraph, term: Term) -> object:
     """Build a merge callable evaluating ``term`` over ``old``/``new``.
 
-    This mirrors the .egg evaluator's merge lowering; the term is kept on
-    the closure so a later save round-trips byte-identically.
+    Every expression merge is built here: the evaluator's ``:merge``
+    lowering and snapshot loading both call it.  The term is kept on the
+    closure so a later save round-trips byte-identically.
     """
 
     def merge_fn(old: Value, new: Value) -> Optional[Value]:

@@ -195,7 +195,7 @@ class Session:
 
     @contextmanager
     def _budgets(self, deadline_ms: Optional[int], max_nodes: Optional[int]) -> Iterator[None]:
-        """Apply per-request default budgets to the ``.egg`` surface."""
+        """Apply per-request default budgets to the batch's runs."""
         evaluator = self.evaluator
         evaluator.default_deadline_s = (
             deadline_ms / 1000.0 if deadline_ms is not None else None
@@ -233,6 +233,8 @@ class Session:
                 except FrontendError as error:
                     raise ProgramError(str(error)) from error
         finally:
+            # Each batch returns its own lines; the session keeps no transcript.
+            session.evaluator.lines.clear()
             session.lock.release()
 
     def run_program(
@@ -252,15 +254,10 @@ class Session:
         session = self._acquire_live()
         try:
             session.touch()
-            with session._transaction(atomic):
-                return run_ops(
-                    session.engine,
-                    ops,
-                    session.evaluator.globals,
-                    default_deadline_ms=deadline_ms,
-                    default_max_nodes=max_nodes,
-                )
+            with session._transaction(atomic), session._budgets(deadline_ms, max_nodes):
+                return run_ops(session.evaluator, ops)
         finally:
+            session.evaluator.lines.clear()
             session.lock.release()
 
     def info(self) -> Dict[str, Any]:

@@ -1,97 +1,66 @@
-"""JSON-encoded session programs: the DSL surface of the wire protocol.
+"""JSON-encoded session programs: the ``.egg`` commands in JSON spelling.
 
-A program is a JSON array of **ops** — each a ``{"op": ...}`` object — run
-in order against one session's engine.  Terms, values, and actions reuse the
-``repro.snapshot/v1`` wire shapes (:mod:`repro.serialize.encode`): a term is
-``["v", name]`` / ``["l", [sort, payload]]`` / ``["a", func, [args...]]``,
-an action is ``["let"|"union"|"set"|"delete"|"panic"|"expr", ...]``.  A fact
-is a term (a truthy pattern) or ``["=", term, term]`` (an equality fact).
+A program is a JSON array of **ops** — ``{"op": ...}`` objects, tabulated
+with their fields and results in ``docs/SERVER.md`` — run in order against
+one session.  Terms and values reuse the ``repro.snapshot/v1`` wire shapes
+(:mod:`repro.serialize.encode`): a term is ``["v", name]`` /
+``["l", [sort, payload]]`` / ``["a", func, [args...]]``; a fact is a term or
+``["=", term, term]``; an action is ``["let"|"union"|"set"|"delete"|"panic"|
+"expr", ...]``; a schedule is ``["run", limit, ruleset?]``,
+``["saturate"|"seq", sched...]`` or ``["repeat", n, sched...]``.
 
-Ops::
+This module only decodes.  Each op is shape-checked field by field and
+becomes the parser :class:`~repro.frontend.parser.Command` it spells (``add``
+is a top-level fact, ``constructor`` a datatype variant of a declared sort),
+its terms built directly as the ``Sexp`` nodes the ``.egg`` reader would
+produce — never rendered to ``.egg`` text, so names may hold any character.
+The session's :class:`~repro.frontend.evaluator.Evaluator` executes it like
+an ``.egg`` command (same lowering and checks, global ``let`` environment
+and run budgets), and the op encodes the structured result.
 
-    {"op": "sort",        "name": s}
-    {"op": "relation",    "name": f, "args": [sorts...]}
-    {"op": "function",    "name": f, "args": [...], "out": s,
-                          "merge": "union"|"error"|<primitive>,   # optional
-                          "default": [sort, payload],             # optional
-                          "cost": n}                              # optional
-    {"op": "constructor", "name": f, "args": [...], "out": s, "cost": n}
-    {"op": "rule",        "facts": [...], "actions": [...],
-                          "name": s, "ruleset": s}                # both optional
-    {"op": "rewrite",     "lhs": t, "rhs": t, "conditions": [...],
-                          "name": s, "ruleset": s, "bidirectional": b}
-    {"op": "let",         "name": s, "term": t}
-    {"op": "add",         "term": t}
-    {"op": "union",       "lhs": t, "rhs": t}
-    {"op": "run",         "limit": n, "ruleset": s,
-                          "deadline_ms": n, "max_nodes": n}       # optional
-    {"op": "run-schedule","schedules": [sched...],
-                          "deadline_ms": n, "max_nodes": n}       # optional
-    {"op": "check",       "facts": [...]}
-    {"op": "extract",     "term": t}
-    {"op": "explain",     "lhs": t, "rhs": t}
-    {"op": "stats"}
-
-A schedule is ``["run", limit, ruleset?]``, ``["saturate", sched...]``,
-``["seq", sched...]``, or ``["repeat", n, sched...]``.
-
-Programs share the session's global ``let`` environment with the ``.egg``
-surface: a ``["v", name]`` naming a global is inlined as a literal wherever
-it appears (same binding rule the evaluator applies), and ``{"op": "let"}``
-adds a binding later ``.egg`` batches can see.
-
-Each op produces one JSON result object (in program order).  ``check``
-reports ``{"ok": false, "count": 0}`` instead of failing the program — a
-query API wants to *ask*, not crash — while malformed ops and engine errors
-raise :class:`~repro.session.errors.ProgramError` naming the op index
-(HTTP 422 at the server).
+``check`` reports ``{"ok": false, "count": 0}`` instead of failing the
+program — a query API wants to *ask*, not crash — while malformed ops and
+failing commands raise :class:`~repro.session.errors.ProgramError` naming
+the op index (HTTP 422 at the server).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.schema import RunReport
-from ..core.terms import Term, TermApp, TermLit, TermVar
-from ..core.values import Value
-from ..engine.actions import Action, Delete, Expr, Let, Set, Union
-from ..engine.errors import CheckError, EGraphError
-from ..engine.rule import EqFact, Fact, Rule
-from ..engine.schedule import Repeat, Run, Saturate, Schedule, Seq
-from ..frontend.printer import format_term
-from ..serialize import SnapshotError
-from ..serialize.encode import (
-    decode_action,
-    decode_term,
-    decode_value,
-    encode_term,
-    encode_value,
+from ..core.values import i64, string
+from ..engine.errors import EGraphError
+from ..frontend.errors import CheckFailedError, FrontendError
+from ..frontend.parser import (
+    CheckCmd,
+    DatatypeCmd,
+    ExplainCmd,
+    ExtractCmd,
+    FunctionCmd,
+    LetCmd,
+    RelationCmd,
+    RewriteCmd,
+    RuleCmd,
+    RunCmd,
+    RunScheduleCmd,
+    SortCmd,
+    TopAction,
+    UnionCmd,
+    Variant,
 )
+from ..frontend.printer import format_term
+from ..frontend.sexp import Literal, Sexp, SList, Symbol
+from ..serialize import SnapshotError
+from ..serialize.encode import decode_value, encode_term, encode_value
 from ..testing.faults import trip
 from .errors import ProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..engine.egraph import EGraph
+    from ..frontend.evaluator import Evaluator
 
 Json = Any
-
-
-class _Ctx:
-    """One program run: the target engine plus the session's global env."""
-
-    __slots__ = ("engine", "env", "default_deadline_ms", "default_max_nodes")
-
-    def __init__(
-        self,
-        engine: "EGraph",
-        env: Dict[str, Value],
-        default_deadline_ms: Optional[int] = None,
-        default_max_nodes: Optional[int] = None,
-    ) -> None:
-        self.engine = engine
-        self.env = env
-        self.default_deadline_ms = default_deadline_ms
-        self.default_max_nodes = default_max_nodes
+Op = Dict[str, Json]
 
 
 def report_json(report: RunReport) -> Dict[str, Json]:
@@ -108,14 +77,18 @@ def report_json(report: RunReport) -> Dict[str, Json]:
     }
 
 
-def _str(op: Dict[str, Json], key: str, default: Optional[str] = None) -> str:
+def _str(op: Op, key: str, default: Optional[str] = None) -> str:
     value = op.get(key, default)
     if not isinstance(value, str):
         raise ProgramError(f"field {key!r} must be a string, got {value!r}")
     return value
 
 
-def _opt_int(op: Dict[str, Json], key: str) -> Optional[int]:
+def _name(op: Op) -> Optional[str]:
+    return None if op.get("name") is None else _str(op, "name")
+
+
+def _opt_int(op: Op, key: str) -> Optional[int]:
     value = op.get(key)
     if value is None:
         return None
@@ -124,268 +97,205 @@ def _opt_int(op: Dict[str, Json], key: str) -> Optional[int]:
     return value
 
 
-def _sort_list(op: Dict[str, Json], key: str) -> List[str]:
+def _budgets(op: Op) -> Tuple[Optional[int], Optional[int]]:
+    """The op's own run budgets; ``None`` falls back to the request's."""
+    return _opt_int(op, "deadline_ms"), _opt_int(op, "max_nodes")
+
+
+def _sort_list(op: Op, key: str) -> Tuple[str, ...]:
     value = op.get(key, [])
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ProgramError(f"field {key!r} must be a list of sort names, got {value!r}")
-    return value
+    return tuple(value)
 
 
-def _inline(term: Term, env: Dict[str, Value]) -> Term:
-    """Replace variables naming global bindings with literals (the .egg rule)."""
-    if isinstance(term, TermVar) and term.name in env:
-        return TermLit(env[term.name])
-    if isinstance(term, TermApp):
-        return TermApp(term.func, tuple(_inline(arg, env) for arg in term.args))
-    return term
-
-
-def _inline_action(action: Action, env: Dict[str, Value]) -> Action:
-    if isinstance(action, Let):
-        return Let(action.name, _inline(action.expr, env))
-    if isinstance(action, Union):
-        return Union(_inline(action.lhs, env), _inline(action.rhs, env))
-    if isinstance(action, Set):
-        call = _inline(action.call, env)
-        assert isinstance(call, TermApp)
-        return Set(call, _inline(action.value, env))
-    if isinstance(action, Delete):
-        call = _inline(action.call, env)
-        assert isinstance(call, TermApp)
-        return Delete(call)
-    if isinstance(action, Expr):
-        return Expr(_inline(action.expr, env))
-    return action
-
-
-def _term(ctx: _Ctx, obj: Json) -> Term:
-    return _inline(decode_term(obj), ctx.env)
-
-
-def _fact(ctx: _Ctx, obj: Json) -> Fact:
-    if isinstance(obj, list) and len(obj) == 3 and obj[0] == "=":
-        return EqFact(_term(ctx, obj[1]), _term(ctx, obj[2]))
-    return _term(ctx, obj)
-
-
-def _facts(ctx: _Ctx, op: Dict[str, Json], key: str = "facts") -> List[Fact]:
+def _list(op: Op, key: str, decode: Callable[[Json], Sexp]) -> Tuple[Sexp, ...]:
     value = op.get(key, [])
     if not isinstance(value, list):
-        raise ProgramError(f"field {key!r} must be a list of facts, got {value!r}")
-    return [_fact(ctx, obj) for obj in value]
+        raise ProgramError(f"field {key!r} must be a list, got {value!r}")
+    return tuple(decode(obj) for obj in value)
 
 
-def _schedule(obj: Json) -> Schedule:
+# -- wire shapes to s-expressions ---------------------------------------------
+
+
+def _form(head: str, *items: Sexp) -> SList:
+    return SList(None, (Symbol(None, head),) + items)
+
+
+def _term(obj: Json) -> Sexp:
+    """A wire term as the s-expression the ``.egg`` reader would build."""
+    tag = obj[0] if isinstance(obj, list) and obj else None
+    if tag == "v" and len(obj) == 2 and isinstance(obj[1], str):
+        return Symbol(None, obj[1])
+    if tag == "l" and len(obj) == 2:
+        return Literal(None, decode_value(obj[1]))
+    if tag == "a" and len(obj) == 3 and isinstance(obj[1], str) and isinstance(obj[2], list):
+        return _form(obj[1], *(_term(arg) for arg in obj[2]))
+    raise ProgramError(f"malformed term {obj!r}")
+
+
+def _fact(obj: Json) -> Sexp:
+    if isinstance(obj, list) and len(obj) == 3 and obj[0] == "=":
+        return _form("=", _term(obj[1]), _term(obj[2]))
+    return _term(obj)
+
+
+def _action(obj: Json) -> Sexp:
+    tag, rest = (obj[0], obj[1:]) if isinstance(obj, list) and obj else (None, [])
+    if tag == "expr" and len(rest) == 1:
+        return _term(rest[0])
+    if tag == "let" and len(rest) == 2 and isinstance(rest[0], str):
+        return _form(tag, Symbol(None, rest[0]), _term(rest[1]))
+    if (tag in ("union", "set") and len(rest) == 2) or (tag == "delete" and len(rest) == 1):
+        return _form(tag, *(_term(item) for item in rest))
+    if tag == "panic" and len(rest) == 1 and isinstance(rest[0], str):
+        return _form(tag, Literal(None, string(rest[0])))
+    raise ProgramError(f"malformed action {obj!r}")
+
+
+def _count(value: Json, what: str) -> Literal:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProgramError(f"schedule {what} must be an integer, got {value!r}")
+    return Literal(None, i64(value))
+
+
+def _schedule(obj: Json) -> Sexp:
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], str):
         raise ProgramError(f"malformed schedule {obj!r}")
     head, rest = obj[0], obj[1:]
     if head == "run":
-        limit = rest[0] if rest else 1
         ruleset = rest[1] if len(rest) > 1 else ""
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ProgramError(f"schedule run limit must be a positive int, got {limit!r}")
         if not isinstance(ruleset, str):
             raise ProgramError(f"schedule ruleset must be a string, got {ruleset!r}")
-        return Run(limit, ruleset)
-    if head == "saturate":
-        return Saturate(tuple(_schedule(s) for s in rest) or (Run(),))
-    if head == "seq":
-        return Seq(tuple(_schedule(s) for s in rest))
-    if head == "repeat":
-        if not rest or not isinstance(rest[0], int) or isinstance(rest[0], bool):
-            raise ProgramError(f"schedule repeat needs an integer count, got {obj!r}")
-        return Repeat(rest[0], tuple(_schedule(s) for s in rest[1:]) or (Run(),))
-    raise ProgramError(f"unknown schedule head {head!r}")
+        option = (Symbol(None, ":ruleset"), Symbol(None, ruleset)) if ruleset else ()
+        return _form(head, _count(rest[0] if rest else 1, "run limit"), *option)
+    if head in ("saturate", "seq"):
+        return _form(head, *(_schedule(s) for s in rest))
+    if head == "repeat" and rest:
+        return _form(head, _count(rest[0], "repeat count"), *(_schedule(s) for s in rest[1:]))
+    raise ProgramError(f"malformed schedule {obj!r}")
 
 
-def _budget_kwargs(ctx: _Ctx, op: Dict[str, Json]) -> Dict[str, Json]:
-    """An op's run budgets, falling back to the request-level defaults."""
-    deadline_ms = _opt_int(op, "deadline_ms")
-    if deadline_ms is None:
-        deadline_ms = ctx.default_deadline_ms
-    max_nodes = _opt_int(op, "max_nodes")
-    if max_nodes is None:
-        max_nodes = ctx.default_max_nodes
-    return {
-        "deadline_s": deadline_ms / 1000.0 if deadline_ms is not None else None,
-        "max_nodes": max_nodes,
-    }
+# -- ops: decode one command, execute it, encode its result --------------------
 
 
-# -- op handlers --------------------------------------------------------------
+def _declare(command: Callable[[Op], Any]) -> Callable[["Evaluator", Op], Json]:
+    def op_fn(ev: "Evaluator", op: Op) -> Json:
+        ev.execute(command(op))
+        return {"declared": op["name"]}
+
+    return op_fn
 
 
-def _op_sort(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.declare_sort(_str(op, "name"))
-    return {"declared": op["name"]}
-
-
-def _op_relation(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.relation(_str(op, "name"), _sort_list(op, "args"))
-    return {"declared": op["name"]}
-
-
-def _op_function(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    merge = op.get("merge")
+def _function(op: Op) -> FunctionCmd:
+    merge, default = op.get("merge"), op.get("default")
     if merge is not None and not isinstance(merge, str):
         raise ProgramError(f"field 'merge' must be a string, got {merge!r}")
-    default = op.get("default")
-    ctx.engine.function(
-        _str(op, "name"),
-        _sort_list(op, "args"),
-        _str(op, "out"),
-        merge=merge,
-        default=decode_value(default) if default is not None else None,
-        cost=_opt_int(op, "cost") or 1,
-        unextractable=bool(op.get("unextractable", False)),
-    )
-    return {"declared": op["name"]}
+    default = Literal(None, decode_value(default)) if default is not None else None
+    cost, unextractable = _opt_int(op, "cost") or 1, bool(op.get("unextractable", False))
+    name, args, out = _str(op, "name"), _sort_list(op, "args"), _str(op, "out")
+    return FunctionCmd(None, name, args, out, merge, default, cost, unextractable)
 
 
-def _op_constructor(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.constructor(
-        _str(op, "name"),
-        _sort_list(op, "args"),
-        _str(op, "out"),
-        cost=_opt_int(op, "cost") or 1,
-    )
-    return {"declared": op["name"]}
+def _constructor(op: Op) -> DatatypeCmd:
+    variant = Variant(None, _str(op, "name"), _sort_list(op, "args"), _opt_int(op, "cost") or 1)
+    return DatatypeCmd(None, _str(op, "out"), (variant,), extends=True)
 
 
-def _op_rule(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    actions = op.get("actions", [])
-    if not isinstance(actions, list):
-        raise ProgramError(f"field 'actions' must be a list, got {actions!r}")
-    name = ctx.engine.add_rule(
-        Rule(
-            facts=_facts(ctx, op),
-            actions=[_inline_action(decode_action(obj), ctx.env) for obj in actions],
-            name=op.get("name"),
-            ruleset=_str(op, "ruleset", ""),
-        )
-    )
-    return {"rule": name}
+def _rule(ev: "Evaluator", op: Op) -> Json:
+    facts, actions = _list(op, "facts", _fact), _list(op, "actions", _action)
+    result = ev.execute(RuleCmd(None, facts, actions, _name(op), _str(op, "ruleset", "")))
+    return {"rule": result.names[0]}
 
 
-def _op_rewrite(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    names = ctx.engine.add_rewrite(
-        _term(ctx, op["lhs"]),
-        _term(ctx, op["rhs"]),
-        conditions=_facts(ctx, op, "conditions"),
-        name=op.get("name"),
-        ruleset=_str(op, "ruleset", ""),
-        bidirectional=bool(op.get("bidirectional", False)),
-    )
-    return {"rules": names}
+def _rewrite(ev: "Evaluator", op: Op) -> Json:
+    lhs, rhs, conditions = _term(op["lhs"]), _term(op["rhs"]), _list(op, "conditions", _fact)
+    ruleset, bidirectional = _str(op, "ruleset", ""), bool(op.get("bidirectional", False))
+    command = RewriteCmd(None, lhs, rhs, conditions, _name(op), ruleset, bidirectional)
+    return {"rules": list(ev.execute(command).names)}
 
 
-def _op_let(ctx: _Ctx, op: Dict[str, Json]) -> Json:
+def _let(ev: "Evaluator", op: Op) -> Json:
     name = _str(op, "name")
-    value = ctx.engine.add(_term(ctx, op["term"]))
-    ctx.env[name] = value
+    value = ev.execute(LetCmd(None, name, _term(op["term"]))).value
     return {"let": name, "value": encode_value(value)}
 
 
-def _op_add(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    return {"value": encode_value(ctx.engine.add(_term(ctx, op["term"])))}
+def _add(ev: "Evaluator", op: Op) -> Json:
+    term = _term(op["term"])
+    if not isinstance(term, SList):
+        raise ProgramError(f"field 'term' must be an application, got {op['term']!r}")
+    return {"value": encode_value(ev.execute(TopAction(None, term)).value)}
 
 
-def _op_union(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    value = ctx.engine.union(_term(ctx, op["lhs"]), _term(ctx, op["rhs"]))
-    return {"value": encode_value(value)}
+def _union(ev: "Evaluator", op: Op) -> Json:
+    command = UnionCmd(None, _term(op["lhs"]), _term(op["rhs"]))
+    return {"value": encode_value(ev.execute(command).value)}
 
 
-def _op_run(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    limit = _opt_int(op, "limit")
-    report = ctx.engine.run(
-        limit if limit is not None else 1,
-        ruleset=_str(op, "ruleset", ""),
-        **_budget_kwargs(ctx, op),
-    )
-    return {"report": report_json(report)}
+def _run(ev: "Evaluator", op: Op) -> Json:
+    limit, budgets = _opt_int(op, "limit"), _budgets(op)
+    command = RunCmd(None, 1 if limit is None else limit, _str(op, "ruleset", ""), *budgets)
+    return {"report": report_json(ev.execute(command).report)}
 
 
-def _op_run_schedule(ctx: _Ctx, op: Dict[str, Json]) -> Json:
+def _run_schedule(ev: "Evaluator", op: Op) -> Json:
     schedules = op.get("schedules")
     if not isinstance(schedules, list) or not schedules:
         raise ProgramError("field 'schedules' must be a non-empty list")
-    report = ctx.engine.run_schedule(
-        *(_schedule(s) for s in schedules), **_budget_kwargs(ctx, op)
-    )
-    return {"report": report_json(report)}
+    command = RunScheduleCmd(None, tuple(_schedule(s) for s in schedules), *_budgets(op))
+    return {"report": report_json(ev.execute(command).report)}
 
 
-def _op_check(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    facts = _facts(ctx, op)
+def _check(ev: "Evaluator", op: Op) -> Json:
+    facts = _list(op, "facts", _fact)
     if not facts:
         raise ProgramError("check needs at least one fact")
     try:
-        count = ctx.engine.check(*facts)
-    except CheckError:
+        return {"ok": True, "count": ev.execute(CheckCmd(None, facts)).count}
+    except CheckFailedError:
         return {"ok": False, "count": 0}
-    return {"ok": True, "count": count}
 
 
-def _op_extract(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    cost, best = ctx.engine.extract_with_cost(_term(ctx, op["term"]))
-    return {"cost": cost, "term": format_term(best), "encoded": encode_term(best)}
+def _extract(ev: "Evaluator", op: Op) -> Json:
+    best = ev.execute(ExtractCmd(None, _term(op["term"])))
+    return {"cost": best.cost, "term": format_term(best.term), "encoded": encode_term(best.term)}
 
 
-def _op_explain(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    explanation = ctx.engine.explain(_term(ctx, op["lhs"]), _term(ctx, op["rhs"]))
-    return {
-        "sort": explanation.sort,
-        "lhs": explanation.lhs,
-        "rhs": explanation.rhs,
-        "steps": [
-            {
-                "lhs": step.lhs,
-                "rhs": step.rhs,
-                "kind": step.justification.kind,
-                "name": step.justification.name,
-            }
-            for step in explanation.steps
-        ],
-    }
+def _explain(ev: "Evaluator", op: Op) -> Json:
+    proof = ev.execute(ExplainCmd(None, _term(op["lhs"]), _term(op["rhs"]))).explanation
+    steps = [
+        {"lhs": s.lhs, "rhs": s.rhs, "kind": s.justification.kind, "name": s.justification.name}
+        for s in proof.steps
+    ]
+    return {"sort": proof.sort, "lhs": proof.lhs, "rhs": proof.rhs, "steps": steps}
 
 
-def _op_stats(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    return ctx.engine.stats()
-
-
-_OPS: Dict[str, Callable[[_Ctx, Dict[str, Json]], Json]] = {
-    "sort": _op_sort,
-    "relation": _op_relation,
-    "function": _op_function,
-    "constructor": _op_constructor,
-    "rule": _op_rule,
-    "rewrite": _op_rewrite,
-    "let": _op_let,
-    "add": _op_add,
-    "union": _op_union,
-    "run": _op_run,
-    "run-schedule": _op_run_schedule,
-    "check": _op_check,
-    "extract": _op_extract,
-    "explain": _op_explain,
-    "stats": _op_stats,
+_OPS: Dict[str, Callable[["Evaluator", Op], Json]] = {
+    "sort": _declare(lambda op: SortCmd(None, _str(op, "name"))),
+    "relation": _declare(lambda op: RelationCmd(None, _str(op, "name"), _sort_list(op, "args"))),
+    "function": _declare(_function),
+    "constructor": _declare(_constructor),
+    "rule": _rule,
+    "rewrite": _rewrite,
+    "let": _let,
+    "add": _add,
+    "union": _union,
+    "run": _run,
+    "run-schedule": _run_schedule,
+    "check": _check,
+    "extract": _extract,
+    "explain": _explain,
+    "stats": lambda ev, op: ev.stats(),
 }
 
 
-def run_ops(
-    engine: "EGraph",
-    ops: Json,
-    env: Optional[Dict[str, Value]] = None,
-    *,
-    default_deadline_ms: Optional[int] = None,
-    default_max_nodes: Optional[int] = None,
-) -> List[Json]:
-    """Run a JSON program against ``engine``; one result object per op.
+def run_ops(evaluator: "Evaluator", ops: Json) -> List[Json]:
+    """Run a JSON program through ``evaluator``; one result object per op.
 
-    ``env`` is the session's global ``let`` environment — shared with the
-    ``.egg`` surface, mutated in place by ``let`` ops.
-    ``default_deadline_ms``/``default_max_nodes`` are request-level budgets
-    applied to ``run``/``run-schedule`` ops that carry none of their own.
+    The evaluator carries the session's engine, its global ``let``
+    environment (``let`` ops bind into it) and its default run budgets.
     Raises :class:`ProgramError` on the first malformed or failing op,
     naming its index.  This function applies ops as it goes; the session
     layer's transactional batches (:meth:`Session.run_program`) roll a
@@ -394,9 +304,6 @@ def run_ops(
     """
     if not isinstance(ops, list):
         raise ProgramError(f"a program must be a JSON array of ops, got {ops!r}")
-    ctx = _Ctx(
-        engine, env if env is not None else {}, default_deadline_ms, default_max_nodes
-    )
     results: List[Json] = []
     for index, op in enumerate(ops):
         if not isinstance(op, dict):
@@ -410,9 +317,9 @@ def run_ops(
         # "between ops" must behave exactly like a failing op.
         trip("batch.op", tag=index)
         try:
-            results.append(handler(ctx, op))
+            results.append(handler(evaluator, op))
         except ProgramError as error:
             raise ProgramError(f"op {index} ({kind}): {error}") from None
-        except (EGraphError, SnapshotError, KeyError, TypeError, ValueError) as error:
-            raise ProgramError(f"op {index} ({kind}): {error}") from error
+        except (FrontendError, EGraphError, SnapshotError, KeyError, TypeError, ValueError) as err:
+            raise ProgramError(f"op {index} ({kind}): {err}") from err
     return results
