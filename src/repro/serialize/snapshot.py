@@ -91,7 +91,8 @@ def compute_digest(document: Dict[str, Any]) -> str:
     """The integrity digest over a document's digested sections.
 
     The digest hashes the *canonical compact* JSON rendering (sorted keys,
-    no whitespace), so it is independent of on-disk pretty-printing.
+    no whitespace), so it is independent of the on-disk layout: files
+    written indented by earlier versions keep their digest.
     """
     payload = {key: document[key] for key in _DIGESTED if key in document}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -99,8 +100,13 @@ def compute_digest(document: Dict[str, Any]) -> str:
 
 
 def dumps_document(document: Dict[str, Any]) -> str:
-    """Render a snapshot document to its canonical on-disk text."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Render a snapshot document to its canonical on-disk text.
+
+    The same canonical compact form the digest hashes (sorted keys, no
+    whitespace), plus one trailing newline; CPython renders it with its C
+    encoder, which ``indent`` would disable.  Readers accept any layout.
+    """
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_snapshot(document: Dict[str, Any], path: str) -> None:

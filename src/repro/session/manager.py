@@ -131,8 +131,21 @@ class Session:
         #: :meth:`SessionManager.remove_session`.  A save that completes
         #: after it removes the file it wrote.
         self.deleted = False
+        #: The :attr:`batches` count at which this session's checkpoint file
+        #: last held its state: set by a successful
+        #: :meth:`CheckpointStore.save` and by a restore from that file.
+        #: ``None`` until either happens.
+        self.checkpointed_at: Optional[int] = None
+
+    @property
+    def checkpoint_current(self) -> bool:
+        """True when no batch has run since the checkpoint was written or
+        restored, so saving again would rewrite the same state."""
+        return self.checkpointed_at == self.batches
 
     def touch(self) -> None:
+        """Start a batch.  Every batch counts, read-only or rolled back, so
+        each one leaves the checkpoint stale (see :attr:`checkpoint_current`)."""
         self.last_used = time.monotonic()
         self.batches += 1
 
@@ -455,9 +468,10 @@ class SessionManager:
         Called without the manager lock.  The victim's mutex is taken
         non-blocking: a session that turned busy since the eviction scan is
         immune — return False so the caller rescans.  With a store the
-        victim is checkpointed first; a checkpoint failure raises
-        :class:`CheckpointError` and keeps the victim live: durable
-        eviction must never silently destroy state it could not save.
+        victim is checkpointed first, unless its checkpoint is already
+        current (no batch since the last save or restore); a checkpoint
+        failure raises :class:`CheckpointError` and keeps the victim live:
+        durable eviction must never silently destroy state it could not save.
         ``retired`` is published under the victim's mutex *after* a
         successful save, so any batch that subsequently wins the mutex sees
         the flag and chases the live incarnation (:meth:`Session._acquire_live`);
@@ -472,7 +486,8 @@ class SessionManager:
             return False
         deleted = False
         try:
-            if self.store is not None:
+            written = self.store is not None and not victim.checkpoint_current
+            if written:
                 try:
                     self.store.save(victim)
                 except Exception as error:
@@ -488,7 +503,7 @@ class SessionManager:
                 deleted = victim.deleted
                 if self.store is not None and not deleted:
                     self._passivated.add(victim.id)
-                    self.checkpoints += 1
+                    self.checkpoints += written
                     self.passivations += 1
                 # Published together with the table drop and the passivated
                 # id, so a concurrent ``get`` sees either the live victim or
@@ -594,6 +609,7 @@ class SessionManager:
             batches = meta.get("batches")
             if isinstance(batches, int):
                 session.batches = batches
+            session.checkpointed_at = session.batches  # the file holds this state
             with self._lock:
                 # Live from here on.  A delete waits for this restore to
                 # finish (see remove_session), so the id cannot vanish
@@ -644,8 +660,9 @@ class SessionManager:
 
     def checkpoint_all(self) -> int:
         """Checkpoint every live session (graceful shutdown); returns the
-        number written.  Failures are counted, not raised — shutdown must
-        save everything it still can."""
+        number written.  A session whose checkpoint is already current is
+        skipped.  Failures are counted, not raised — shutdown must save
+        everything it still can."""
         if self.store is None:
             return 0
         with self._lock:
@@ -653,8 +670,8 @@ class SessionManager:
         written = 0
         for session in sessions:
             with session.lock:
-                if session.retired:
-                    continue  # already checkpointed on its way out
+                if session.retired or session.checkpoint_current:
+                    continue  # its checkpoint already holds this state
                 try:
                     self.store.save(session)
                 except Exception:

@@ -74,7 +74,8 @@ class CheckpointStore:
         """Checkpoint ``session`` to disk; returns the written document.
 
         The caller must hold ``session.lock`` — a checkpoint taken mid-batch
-        would capture a half-applied program.
+        would capture a half-applied program.  On success the session's
+        checkpoint is marked current (see ``Session.checkpoint_current``).
         """
         trip("checkpoint", tag=session.id)
         surfaces = {
@@ -85,7 +86,9 @@ class CheckpointStore:
                 "batches": session.batches,
             },
         }
-        return save_engine(session.engine, self.path(session.id), surfaces=surfaces)
+        document = save_engine(session.engine, self.path(session.id), surfaces=surfaces)
+        session.checkpointed_at = session.batches
+        return document
 
     def load(self, session_id: str, *, strategy: str) -> Tuple[Evaluator, Dict[str, Any]]:
         """Re-hydrate a checkpointed session's evaluator (engine + globals).

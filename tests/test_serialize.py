@@ -124,6 +124,22 @@ def test_golden_roundtrip_byte_identical(path, tmp_path):
     assert loaded.stats() == evaluator.egraph.stats()
 
 
+def _canonical(document) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_save_writes_canonical_compact_json(tmp_path):
+    evaluator = Evaluator()
+    evaluator.run_program(PROGRAM, "<p>")
+    path = tmp_path / "snap.json"
+    document = save_engine(evaluator.egraph, str(path))
+    text = path.read_text()
+    assert text == _canonical(document) == dumps_document(document)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert document["digest"] == compute_digest(document)
+    assert json.loads(text) == document
+
+
 @pytest.mark.parametrize(
     "workload",
     [w for w in default_workloads(quick=True)],
@@ -451,6 +467,16 @@ def test_cli_snapshot_migration_no_files(tmp_path, capsys):
     # --load/--save with no files: a pure round-trip/migration pass.
     assert cli_main(["--load", str(first), "--save", str(second)]) == 0
     assert first.read_text() == second.read_text()
+    assert first.read_text() == _canonical(json.loads(first.read_text()))
+
+
+def test_egg_save_load_save_byte_identical(tmp_path):
+    first = tmp_path / "a.json"
+    second = tmp_path / "b.json"
+    Evaluator().run_program(PROGRAM + f'\n(save "{first}")', "<a>")
+    Evaluator().run_program(f'(load "{first}")\n(save "{second}")', "<b>")
+    assert first.read_text() == second.read_text()
+    assert first.read_text() == _canonical(json.loads(first.read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +529,7 @@ def test_dsl_roundtrip_byte_identical(tmp_path):
     eg.save(str(first))
     DslEGraph.from_snapshot(str(first)).save(str(second))
     assert first.read_text() == second.read_text()
+    assert first.read_text() == _canonical(json.loads(first.read_text()))
 
 
 def test_dsl_snapshot_error_maps_to_dsl_error(tmp_path):

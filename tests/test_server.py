@@ -15,6 +15,7 @@ Three layers, tested at their natural seams:
 
 import http.client
 import json
+import os
 import threading
 import time
 
@@ -23,12 +24,14 @@ import pytest
 from repro.server import App, serve
 from repro.session import (
     CapacityError,
+    CheckpointError,
     DuplicateNameError,
     ProgramError,
     SessionManager,
     UnknownBaseError,
     UnknownSessionError,
 )
+from repro.testing import FAULTS
 
 TC_PROGRAM = """
 (relation edge (i64 i64))
@@ -456,6 +459,139 @@ def test_remove_session_also_discards_checkpoint(tmp_path):
     assert not mgr.store.contains(s.id)
     with pytest.raises(UnknownSessionError):
         mgr.get(s.id)
+
+
+def _count_saves(mgr):
+    """Wrap ``mgr.store.save``; returns the list of session ids it wrote."""
+    saved, real_save = [], mgr.store.save
+
+    def counting_save(session):
+        document = real_save(session)
+        saved.append(session.id)
+        return document
+
+    mgr.store.save = counting_save
+    return saved
+
+
+def _file_identity(mgr, sid):
+    path = mgr.store.path(sid)
+    status = os.stat(path)
+    with open(path, "rb") as handle:
+        return handle.read(), status.st_ino, status.st_mtime_ns
+
+
+def _checkpointed_tc_session(tmp_path):
+    """A one-slot manager whose only session ran a batch and was then
+    checkpointed explicitly."""
+    mgr = SessionManager(max_sessions=1, state_dir=str(tmp_path))
+    mgr.add_base_from_program("tc", TC_PROGRAM)
+    a = mgr.create_session("tc")
+    a.run_egg("(run 10)")
+    mgr.checkpoint_session(a.id)
+    return mgr, a
+
+
+def test_eviction_skips_a_current_checkpoint(tmp_path):
+    mgr, a = _checkpointed_tc_session(tmp_path)
+    before = _engine_bytes(a)
+    on_disk = _file_identity(mgr, a.id)
+    stats = mgr.stats()["durability"]
+    saved = _count_saves(mgr)
+    b = mgr.create_session("tc")  # evicts a, whose checkpoint is current
+    assert saved == []
+    assert _file_identity(mgr, a.id) == on_disk
+    after = mgr.stats()["durability"]
+    assert after["passivations"] == stats["passivations"] + 1
+    assert after["checkpoints"] == stats["checkpoints"]
+    restored = mgr.get(a.id)  # evicts b, which has never been saved
+    assert saved == [b.id]
+    assert restored is not a and _engine_bytes(restored) == before
+
+
+def test_eviction_right_after_restore_writes_nothing(tmp_path):
+    mgr = SessionManager(max_sessions=1, state_dir=str(tmp_path))
+    mgr.add_base_from_program("tc", TC_PROGRAM)
+    a = mgr.create_session("tc")
+    a.run_egg("(run 10)")
+    b = mgr.create_session("tc")  # evicts a: written
+    saved = _count_saves(mgr)
+    restored = mgr.get(a.id)  # evicts b: written
+    assert saved == [b.id]
+    mgr.get(b.id)  # evicts a, untouched since its restore
+    assert saved == [b.id]
+    assert _engine_bytes(mgr.get(a.id)) == _engine_bytes(restored)
+
+
+def _rolled_back_batch(session):
+    before = _engine_bytes(session)
+    with pytest.raises(ProgramError):
+        session.run_egg("(edge 7 8)\n(check (path 8 7))")
+    assert _engine_bytes(session) == before
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda s: s.run_egg("(run 1)"),
+        lambda s: s.run_egg("(check (path 1 5))"),
+        lambda s: s.run_program([CHECK_1_5]),
+        _rolled_back_batch,
+    ],
+    ids=["run", "egg-check", "json-check", "rolled-back"],
+)
+def test_any_batch_makes_eviction_rewrite(batch, tmp_path):
+    mgr, a = _checkpointed_tc_session(tmp_path)
+    batch(a)
+    before = _engine_bytes(a)
+    saved = _count_saves(mgr)
+    mgr.create_session("tc")  # evicts a
+    assert saved == [a.id]
+    assert _engine_bytes(mgr.get(a.id)) == before
+
+
+@pytest.mark.parametrize("point", ["checkpoint", "snapshot.write"])
+def test_failed_save_leaves_the_session_dirty(point, tmp_path):
+    mgr, a = _checkpointed_tc_session(tmp_path)
+    a.run_egg("(edge 5 6)\n(run 10)")
+    before = _engine_bytes(a)
+    FAULTS.reset()
+    try:
+        FAULTS.arm(point, times=1)
+        with pytest.raises(CheckpointError):
+            mgr.checkpoint_session(a.id)
+        saved = _count_saves(mgr)
+        mgr.create_session("tc")  # evicts a: the failed save did not count
+        assert saved == [a.id]
+        assert _engine_bytes(mgr.get(a.id)) == before
+
+        c = mgr.get(a.id)
+        c.run_egg("(edge 6 7)")
+        FAULTS.arm(point, times=2)
+        with pytest.raises(CheckpointError):
+            mgr.checkpoint_session(c.id)
+        with pytest.raises(CheckpointError):
+            mgr.create_session("tc")  # eviction fails too: c stays live
+        assert mgr.get(c.id) is c
+        assert mgr.stats()["durability"]["checkpoint_failures"] == 3
+    finally:
+        FAULTS.reset()
+
+
+def test_drain_skips_current_checkpoints(tmp_path):
+    mgr = SessionManager(state_dir=str(tmp_path))
+    mgr.add_base_from_program("tc", TC_PROGRAM)
+    clean, dirty = mgr.create_session("tc"), mgr.create_session("tc")
+    for session in (clean, dirty):
+        session.run_egg("(run 10)")
+    mgr.checkpoint_session(clean.id)
+    on_disk = _file_identity(mgr, clean.id)
+    checkpoints = mgr.stats()["durability"]["checkpoints"]
+    assert mgr.checkpoint_all() == 1  # only the dirty session is written
+    assert _file_identity(mgr, clean.id) == on_disk
+    assert mgr.store.contains(dirty.id)
+    assert mgr.stats()["durability"]["checkpoints"] == checkpoints + 1
+    assert mgr.checkpoint_all() == 0
 
 
 def test_delete_racing_passivation_leaves_no_checkpoint(tmp_path):

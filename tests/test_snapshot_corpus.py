@@ -6,14 +6,16 @@ its recorded schedule, (c) reproduce its recorded expected facts, and
 (d) re-encode the loaded engine to the identical ``state`` section —
 so a format or engine change that silently breaks old snapshots fails
 here instead of in a user's workflow.  To regenerate after an
-*intentional* format change (with a schema/version bump and a note in
-docs/PERSISTENCE.md)::
+*intentional* format change (with a note in docs/PERSISTENCE.md, and a
+schema bump if what the format records changed; a layout-only change
+keeps every digest)::
 
     REPRO_REGEN_SNAPSHOTS=1 python -m pytest tests/test_snapshot_corpus.py
 
 and review the diff before committing.
 """
 
+import json
 import os
 import pathlib
 
@@ -25,12 +27,14 @@ from repro.core.terms import App
 from repro.engine import EGraph
 from repro.engine.schedule import Run
 from repro.frontend import Evaluator
+from repro.frontend.cli import main as cli_main
 from repro.serialize import (
     dumps_document,
     engine_document,
     engine_from_document,
     load_engine,
     read_document,
+    save_engine,
 )
 from repro.serialize.encode import decode_schedule, encode_schedule
 
@@ -162,7 +166,11 @@ def test_corpus_loads_and_replays(name):
     if not path.exists():
         pytest.skip(f"no committed snapshot {path.name}")
     engine, document = load_engine(str(path))
-    replay = document["replay"]
+    _assert_replays(name, engine, document["replay"])
+
+
+def _assert_replays(name, engine, replay):
+    """Run the recorded schedule; the engine must reach the expected facts."""
     report = engine.run_schedule(decode_schedule(replay["schedule"]))
     expected = replay["expected"]
     assert report.saturated == expected["saturated"]
@@ -209,3 +217,41 @@ def test_corpus_matches_builders(name):
         f"{path.name} diverged from its builder; review and commit the "
         f"regenerated file ({REGEN_VAR}=1) if the change is intentional"
     )
+
+
+def _write_indented(name: str, tmp_path) -> "tuple[pathlib.Path, str]":
+    """The committed document in the indented layout earlier writers used;
+    returns its path and the committed (compact) text."""
+    committed = (SNAPSHOT_DIR / f"{name}.json").read_text()
+    old = tmp_path / f"{name}.indented.json"
+    old.write_text(json.dumps(json.loads(committed), indent=2, sort_keys=True) + "\n")
+    return old, committed
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_indented_v1_files_still_load(name, tmp_path):
+    """Files written before the compact layout (``indent=2``) carry the same
+    digest: they validate, replay to their expected facts, and re-save to
+    the committed compact bytes."""
+    old, committed = _write_indented(name, tmp_path)
+    document = read_document(str(old))
+    engine, _ = load_engine(str(old))
+    resaved = tmp_path / "resaved.json"
+    save_engine(
+        engine, str(resaved), surfaces=document.get("surfaces"), replay=document["replay"]
+    )
+    assert resaved.read_text() == committed
+    _assert_replays(name, engine, document["replay"])
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_cli_rewrites_indented_files_compactly(name, tmp_path):
+    """``python -m repro --load old --save new`` migrates the layout."""
+    old, committed = _write_indented(name, tmp_path)
+    new = tmp_path / "new.json"
+    assert cli_main(["--load", str(old), "--save", str(new)]) == 0
+    text = new.read_text()
+    migrated = json.loads(text)
+    assert text == dumps_document(migrated)
+    assert text.count("\n") == 1
+    assert migrated["state"] == json.loads(committed)["state"]
